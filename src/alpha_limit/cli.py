@@ -146,19 +146,13 @@ def cmd_tables(cfg: RunConfig) -> int:
 
 def cmd_shearer(cfg: RunConfig) -> int:
     a, lam, k = cfg.alpha, cfg.lam, cfg.k
+    if not (math.isfinite(a) and math.isfinite(lam)):
+        raise ValueError("alpha and lambda must be finite numbers")
     regime = sh.classify_regime(a, lam)
     if regime is None and not cfg.exploratory:
-        t2 = at.tau2(a) if a < 0.5 else None
-        a_star, _ = at.alpha_star()
-        parts = []
-        if t2 is not None:
-            parts.append(f"tau2({a}) = {t2}")
-        if a < a_star:
-            t1, t1p = at.tau1_interval(a)
-            parts.append(f"(tau1, tau1')({a}) = ({t1}, {t1p})")
         sys.stderr.write(
             "refusing: lambda is outside every certified regime ("
-            + "; ".join(parts)
+            + sh.uncovered_reason(a, lam)
             + "); rerun with --exploratory\n"
         )
         return 2
@@ -352,7 +346,11 @@ def _parse_grid(args) -> Optional[list[float]]:
     if args.alphas:
         return [float(x) for x in args.alphas.split(",")]
     if args.start is not None:
+        if args.stop is None:
+            raise ValueError("--start needs --stop")
         if args.step is not None:
+            if not args.step > 0:
+                raise ValueError("--step must be positive")
             vals = []
             a = args.start
             while a <= args.stop + 1e-15:
@@ -418,7 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand.  Input the library rejects (a ValueError) ends
+    with one line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        sys.stderr.write(f"alpha-limit: error: {exc}\n")
+        return 2
+
+
+def _run(args) -> int:
     cfg = RunConfig(subcommand=args.subcommand)
     if hasattr(args, "format"):
         cfg.fmt = args.format

@@ -92,9 +92,106 @@ def diagonalize(M: WeightedTreeMatrix, x: float) -> DiagResult:
     )
 
 
+@dataclass(frozen=True)
+class InertiaPlan:
+    """A tree matrix compiled once for repeated inertia counts.
+
+    The bottom-up pass of `diagonalize`, in flat arrays: the vertices that
+    have children, plus the root, listed bottom-up as plan indices 0..m-1,
+    with their diagonal entries, the plan index of their parent (m for the
+    root, a scratch slot) and the squared weight of the edge to it.  Leaf
+    children are folded: leaves under one parent that share a diagonal
+    entry and a squared edge weight share their pivot at every shift, so
+    each such group is one count-weighted term.
+    """
+
+    diag: tuple[float, ...]
+    parent: tuple[int, ...]
+    w2: tuple[float, ...]
+    # (leaf diagonal, squared leaf edge weight, parent plan indices, leaf
+    # count under each parent, total leaf count) per distinct leaf pair
+    leaf_groups: tuple[tuple[float, float, tuple[int, ...], tuple[int, ...], int], ...]
+
+    @classmethod
+    def compile(cls, M: WeightedTreeMatrix) -> "InertiaPlan":
+        tree = M.tree
+        kids = tree.children
+        inner = [v for v in tree.order if kids[v] or tree.parent[v] is None]
+        index = {v: i for i, v in enumerate(inner)}
+        groups: dict[tuple[float, float], dict[int, int]] = {}
+        for i, v in enumerate(inner):
+            for c in kids[v]:
+                if not kids[c]:
+                    counts = groups.setdefault((M.diag[c], M.edge_w[c] ** 2), {})
+                    counts[i] = counts.get(i, 0) + 1
+        return cls(
+            diag=tuple(M.diag[v] for v in inner),
+            parent=tuple(
+                len(inner) if tree.parent[v] is None else index[tree.parent[v]]
+                for v in inner
+            ),
+            w2=tuple(M.edge_w[v] ** 2 for v in inner),
+            leaf_groups=tuple(
+                (dl, wl, tuple(counts), tuple(counts.values()), sum(counts.values()))
+                for (dl, wl), counts in groups.items()
+            ),
+        )
+
+    def count_greater(self, c: float) -> int:
+        """Number of positive pivots of M - cI: `diagonalize(M, -c).n_pos`
+        by the same recurrence, with a vertex's terms summed in another
+        order (a folded group adds m * w^2/d at once).
+
+        Pivots are pushed up as they are found: acc[p] collects the terms
+        w^2/d of p's children.  A zero pivot sends its parent p into the
+        zero branch of `diagonalize`: one zero child ends at the pivot 2
+        (one positive count per such parent, whichever child it is), p at
+        -w^2/2 (never positive, marked by acc[p] = NaN), and p is detached
+        (its push is redirected to the scratch slot).  A NaN pivot falls
+        through to the push and spreads to its parent, as in the reference.
+        """
+        x = -c
+        tol = ZERO_TOL
+        nan = math.nan
+        top = len(self.diag)
+        acc = [0.0] * (top + 1)
+        parent = list(self.parent)
+        fired: set[int] = set()
+        pos = 0
+        for dl, wl, parents, counts, total in self.leaf_groups:
+            t = dl + x
+            if t > tol:
+                pos += total
+            elif t >= -tol:
+                fired.update(parents)
+                for p in parents:
+                    parent[p] = top
+                    acc[p] = nan
+                continue
+            q = wl / t
+            for p, m in zip(parents, counts):
+                acc[p] += m * q
+        for b, s, p, w in zip(self.diag, acc, parent, self.w2):
+            d = (b + x) - s
+            if d > tol:
+                pos += 1
+            elif d >= -tol:
+                if p < top:
+                    fired.add(p)
+                    parent[p] = top
+                    acc[p] = nan
+                continue
+            acc[p] += w / d
+        return pos + len(fired)
+
+
 def count_eigenvalues_greater(M: WeightedTreeMatrix, c: float) -> int:
-    """Number of eigenvalues of M strictly greater than c."""
-    return diagonalize(M, -c).n_pos
+    """Number of eigenvalues of M strictly greater than c.
+
+    Runs on the matrix's compiled `inertia_plan`; `diagonalize` is the
+    per-vertex reference with the same counts.
+    """
+    return M.inertia_plan.count_greater(c)
 
 
 def _initial_bracket(M: WeightedTreeMatrix) -> tuple[float, float]:

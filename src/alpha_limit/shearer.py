@@ -324,6 +324,22 @@ def classify_regime(alpha: float, lam: float) -> Optional[str]:
     return None
 
 
+def uncovered_reason(alpha: float, lam: float) -> str:
+    """Why neither regime of `classify_regime` covers (alpha, lam): one
+    clause per threshold family."""
+    if alpha < 0.5:
+        msgs = [f"lambda < tau2({alpha}) = {at.tau2(alpha)}"]
+    else:
+        msgs = ["alpha >= 1/2: no tau2 threshold exists"]
+    a_star, _ = at.alpha_star()
+    if alpha < a_star:
+        t1, t1p = at.tau1_interval(alpha)
+        msgs.append(f"lambda outside [tau1, tau1') = [{t1}, {t1p})")
+    else:
+        msgs.append(f"alpha >= alpha* = {a_star}: no tau1 interval")
+    return "; ".join(msgs)
+
+
 def convergence_report(
     alpha: float,
     lam: float,
@@ -342,20 +358,9 @@ def convergence_report(
     boundary = alpha < 0.5 and lam == at.tau2(alpha)
     if regime is None:
         if not exploratory:
-            msgs = []
-            if alpha < 0.5:
-                msgs.append(f"lambda < tau2({alpha}) = {at.tau2(alpha)}")
-            else:
-                msgs.append("alpha >= 1/2: no tau2 threshold exists")
-            a_star, _ = at.alpha_star()
-            if alpha < a_star:
-                t1, t1p = at.tau1_interval(alpha)
-                msgs.append(f"lambda outside [tau1, tau1') = [{t1}, {t1p})")
-            else:
-                msgs.append(f"alpha >= alpha* = {a_star}: no tau1 interval")
             raise ValueError(
                 "no convergence guarantee covers this point ("
-                + "; ".join(msgs)
+                + uncovered_reason(alpha, lam)
                 + "); pass exploratory=True to probe it anyway"
             )
         regime = "exploratory"

@@ -6,6 +6,7 @@ reports) is 1-based.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -117,6 +118,13 @@ class WeightedTreeMatrix:
         if len(self.diag) != n or len(self.edge_w) != n:
             raise ValueError("weight arrays must match vertex count")
 
+    @cached_property
+    def inertia_plan(self):
+        """The matrix compiled for inertia counts (`diagonalize.InertiaPlan`)."""
+        from .diagonalize import InertiaPlan
+
+        return InertiaPlan.compile(self)
+
     def dense(self):
         """Assemble the dense symmetric matrix (numpy array)."""
         import numpy as np
@@ -221,13 +229,15 @@ def tree_from_edge_list(pairs: Sequence[tuple[int, int]], root: Optional[int] = 
         adj[u].append(v)
         adj[v].append(u)
     r = 0 if root is None else root
+    if not 0 <= r < n:
+        raise ValueError(f"root must be a vertex 0..{n - 1}, got {root}")
     parent: list[Optional[int]] = [None] * n
     seen = [False] * n
     seen[r] = True
-    queue = [r]
+    queue = deque([r])
     bfs = []
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         bfs.append(u)
         for w in adj[u]:
             if not seen[w]:

@@ -6,6 +6,13 @@ criterion is visible in one place.
 """
 from __future__ import annotations
 
+import os
+
+# Set before numpy is first imported: the property tests call eigvalsh on
+# matrices of up to 500 rows, and a multi-threaded BLAS on a busy machine
+# can take seconds per call where one thread takes milliseconds.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 

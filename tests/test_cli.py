@@ -3,9 +3,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alpha_limit
 from alpha_limit.cli import main
 
 
@@ -185,3 +190,52 @@ def test_digits_flag(tmp_path):
     )
     assert code == 0
     assert "tau0=2.058\n" in text
+
+
+def _assert_one_line_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tables", "tau0", "--start", "0.1"], "--start needs --stop"),
+        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "0"], "k must be >= 1"),
+        (["shearer", "-a", "0.1", "-l", "nan", "--exploratory"], "finite"),
+        (["shearer", "-a", "0.1", "-l", "inf"], "finite"),
+    ],
+)
+def test_bad_input_is_one_line_exit_2(capsys, argv, message):
+    assert message in _assert_one_line_error(capsys, argv)
+
+
+def test_spectral_radius_alpha_out_of_range(tmp_path, capsys):
+    edges = tmp_path / "p3.txt"
+    edges.write_text("1 2\n2 3\n")
+    err = _assert_one_line_error(
+        capsys, ["spectral-radius", "--edges", str(edges), "-a", "1.5"]
+    )
+    assert "alpha must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1"])
+def test_non_positive_step_is_rejected_not_looped(step):
+    # a child process, so that a grid loop that never ends fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(alpha_limit.__file__).parents[1]))
+    p = subprocess.run(
+        [sys.executable, "-m", "alpha_limit.cli", "tables", "tau0",
+         "--start", "0.1", "--stop", "0.2", "--step", step],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert p.returncode == 2
+    assert p.stderr == "alpha-limit: error: --step must be positive\n"
+    assert p.stdout == ""
+
+
+def test_shearer_refusal_above_one_half_names_the_reason(capsys):
+    err = _assert_one_line_error(capsys, ["shearer", "-a", "0.6", "-l", "5", "-k", "10"])
+    assert "alpha >= 1/2: no tau2 threshold exists" in err
+    assert "()" not in err

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alpha_limit.diagonalize import (
     count_eigenvalues_greater,
@@ -14,9 +17,11 @@ from alpha_limit.diagonalize import (
     diagonalize,
     spectral_radius,
 )
+from alpha_limit.shearer import build_shearer
 from alpha_limit.trees import (
     CaterpillarSpec,
     RootedTree,
+    WeightedTreeMatrix,
     a_alpha_weights,
     make_caterpillar,
     make_path,
@@ -192,3 +197,82 @@ def test_diagonalize_does_not_mutate_input():
     diagonalize(M, 0.0)  # hits the zero branch on P_4 at eigenvalue shifts
     diagonalize(M, -1.0)
     assert (M.tree.parent, M.diag, M.edge_w) == before
+
+
+# Shifts that sit exactly (or to rounding) on eigenvalues of integer-weighted
+# subtrees: 0 on any tree with an odd part, +-1 on P_2, +-sqrt 2 on P_3.
+EXACT_SHIFTS = [0.0, 1.0, -1.0, math.sqrt(2.0), -math.sqrt(2.0)]
+
+# Eigenvalues closer than this to the shift are left to the reference count;
+# eigvalsh is accurate to about n * eps * |M|, far below it for n <= 500.
+EIG_BAND = 1e-8
+
+
+@st.composite
+def tree_matrices(draw):
+    """A random tree on up to 500 vertices, A_alpha or generally weighted.
+
+    `hubs` bounds the vertices a new vertex may attach to, so small values
+    give bushy trees whose hubs carry many leaves; general weights draw
+    leaf diagonals and edge weights from small integer-like sets, so the
+    leaves under one parent fall into several groups."""
+    n = draw(st.integers(1, 500))
+    hubs = draw(st.integers(1, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parent = [None] + [rng.randrange(min(v, hubs)) for v in range(1, n)]
+    tree = RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))
+        return a_alpha_weights(tree, alpha)
+    diag = tuple(rng.choice([0.0, 0.0, 1.0, -1.0, 0.5]) for _ in range(n))
+    edge_w = tuple(
+        0.0 if p is None else rng.choice([1.0, 1.0, 2.0, -1.0, 0.5]) for p in parent
+    )
+    return WeightedTreeMatrix(tree=tree, diag=diag, edge_w=edge_w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(M=tree_matrices(), shifts=st.lists(st.floats(-4.0, 4.0), max_size=3))
+def test_count_matches_reference_and_eigvalsh(M, shifts):
+    ev = np.linalg.eigvalsh(M.dense())
+    for c in EXACT_SHIFTS + shifts:
+        count = count_eigenvalues_greater(M, c)
+        assert count == diagonalize(M, -c).n_pos
+        assert np.sum(ev > c + EIG_BAND) <= count <= np.sum(ev > c - EIG_BAND)
+
+
+def test_count_with_two_zero_pivot_leaf_groups():
+    # hub 1 under the root 0 carries two leaf groups that differ only in
+    # their edge weight (2, 3: weight 1; 4, 5, 6: weight 2); at c = 0 both
+    # groups have zero pivots, so the hub takes the zero branch once and is
+    # detached from the root, which also has a zero-pivot leaf of its own
+    parent = (None, 0, 1, 1, 1, 1, 1, 0)
+    tree = RootedTree(n=8, parent=parent, order=(2, 3, 4, 5, 6, 1, 7, 0))
+    M = WeightedTreeMatrix(
+        tree=tree,
+        diag=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        edge_w=(0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 1.0),
+    )
+    assert len(M.inertia_plan.leaf_groups) == 2
+    ref = diagonalize(M, 0.0)
+    assert ref.removed_edges == ((1, 0),)
+    ev = np.linalg.eigvalsh(M.dense())
+    assert count_eigenvalues_greater(M, 0.0) == ref.n_pos == np.sum(ev > EIG_BAND)
+
+
+@pytest.mark.parametrize("alpha, lam", [(0.1, 2.44), (0.01, 2.06)])
+def test_spectral_radius_matches_reference_bisection(alpha, lam, monkeypatch):
+    seq = build_shearer(alpha, lam, 100)
+    tree = make_caterpillar(seq.caterpillar_spec())
+    planned = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
+    monkeypatch.setattr(
+        sys.modules["alpha_limit.diagonalize"],
+        "count_eigenvalues_greater",
+        lambda M, c: diagonalize(M, -c).n_pos,
+    )
+    reference = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
+    assert (planned.lower, planned.upper, planned.iterations) == (
+        reference.lower,
+        reference.upper,
+        reference.iterations,
+    )

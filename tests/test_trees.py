@@ -157,6 +157,12 @@ def test_tree_from_edge_list_errors():
         tree_from_edge_list([(0, 1), (1, 2), (2, 0)])  # cycle, wrong count
 
 
+@pytest.mark.parametrize("root", [3, 5, -1])
+def test_tree_from_edge_list_rejects_root_outside_vertices(root):
+    with pytest.raises(ValueError, match="root must be a vertex 0..2"):
+        tree_from_edge_list([(0, 1), (1, 2)], root=root)
+
+
 def test_weighted_matrix_dense_is_symmetric():
     tree = make_caterpillar(CaterpillarSpec((3, 1, 2)))
     m = a_alpha_weights(tree, 0.25).dense()
