@@ -26,8 +26,9 @@ def _check_alpha(alpha: float, hi_open: float = 1.0, hi_closed: bool = False):
         raise ValueError(f"alpha must lie in [0, {upper}")
 
 
-def _core(lam: float, alpha: float) -> tuple[float, float, float]:
-    """(delta, theta_prime, sqrt of the fixed-point discriminant).
+def _core(lam: float, alpha: float) -> tuple[float, float, float, float, float]:
+    """(disc, sq, theta, theta_prime, delta): the fixed-point discriminant,
+    its square root, both fixed points of `phi`, and delta.
 
     theta_prime is derived from theta via the product identity
     theta*theta_prime = (1-alpha)^2; the direct form (2a-lam+sq)/2
@@ -38,7 +39,7 @@ def _core(lam: float, alpha: float) -> tuple[float, float, float]:
     theta = 0.5 * ((2.0 * alpha - lam) - sq)
     theta_prime = (1.0 - alpha) ** 2 / theta
     delta = alpha + (1.0 - alpha) ** 2 / (lam - alpha)
-    return delta, theta_prime, sq
+    return disc, sq, theta, theta_prime, delta
 
 
 @dataclass(frozen=True)
@@ -55,21 +56,15 @@ class AlphaLambda:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
+        if not math.isfinite(self.lam):
+            raise ValueError("lambda must be a finite number")
         if self.lam <= 2.0:
             raise ValueError("lambda must exceed 2")
-        disc = (2.0 * self.alpha - self.lam) ** 2 - 4.0 * (1.0 - self.alpha) ** 2
-        sq = math.sqrt(disc)
-        mid = 2.0 * self.alpha - self.lam
-        theta = 0.5 * (mid - sq)
+        disc, _, theta, theta_prime, delta = _core(self.lam, self.alpha)
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "theta", theta)
-        # via the product identity; the direct (mid + sq)/2 cancels badly
-        object.__setattr__(self, "theta_prime", (1.0 - self.alpha) ** 2 / theta)
-        object.__setattr__(
-            self,
-            "delta",
-            self.alpha + (1.0 - self.alpha) ** 2 / (self.lam - self.alpha),
-        )
+        object.__setattr__(self, "theta_prime", theta_prime)
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)
@@ -89,13 +84,13 @@ def phi(t: float, p: AlphaLambda) -> float:
 
 def F0(lam: float, alpha: float) -> float:
     """Starlike-limit function; its unique root in (2, inf) is tau0."""
-    delta, _, sq = _core(lam, alpha)
+    _, sq, _, _, delta = _core(lam, alpha)
     return delta - sq
 
 
 def F1(lam: float, alpha: float) -> float:
     """Pair-product bound; negative exactly on (tau1, tau1')."""
-    delta, theta_prime, _ = _core(lam, alpha)
+    _, _, _, theta_prime, delta = _core(lam, alpha)
     return (2.0 * alpha - lam + delta) * (theta_prime - delta) - 2.0 * (
         1.0 - alpha
     ) ** 2
@@ -103,57 +98,57 @@ def F1(lam: float, alpha: float) -> float:
 
 def F2(lam: float, alpha: float) -> float:
     """Window-containment function; its root in (2, inf) is tau2."""
-    delta, theta_prime, _ = _core(lam, alpha)
+    _, _, _, theta_prime, delta = _core(lam, alpha)
     return -1.0 + alpha + delta - theta_prime
 
 
 def F3(lam: float, alpha: float) -> float:
     """Second factor of F1; its root in (2, inf) is tau1'."""
-    delta, theta_prime, _ = _core(lam, alpha)
+    _, _, _, theta_prime, delta = _core(lam, alpha)
     return delta + theta_prime
 
 
-def _dF0(lam: float, alpha: float) -> float:
-    _, _, sq = _core(lam, alpha)
-    return -((1.0 - alpha) ** 2) / (lam - alpha) ** 2 - (lam - 2.0 * alpha) / sq
-
-
-def _dF2(lam: float, alpha: float) -> float:
-    _, _, sq = _core(lam, alpha)
-    return (
-        -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
+# curve kind -> (F, dF/dlam given sq = sqrt(disc)); the root of F in
+# (2, inf) is the curve's value
+_ROOT_CURVES = {
+    "tau0": (
+        F0,
+        lambda lam, alpha, sq: -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
+        - (lam - 2.0 * alpha) / sq,
+    ),
+    "tau2": (
+        F2,
+        lambda lam, alpha, sq: -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
         + 0.5
-        - (lam - 2.0 * alpha) / (2.0 * sq)
-    )
-
-
-def _dF3(lam: float, alpha: float) -> float:
-    _, _, sq = _core(lam, alpha)
-    return (
-        -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
+        - (lam - 2.0 * alpha) / (2.0 * sq),
+    ),
+    "tau1_prime": (
+        F3,
+        lambda lam, alpha, sq: -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
         - 0.5
-        + (lam - 2.0 * alpha) / (2.0 * sq)
-    )
+        + (lam - 2.0 * alpha) / (2.0 * sq),
+    ),
+}
 
 
 @lru_cache(maxsize=None)
-def _tau0_cached(key: float) -> float:
-    f = lambda lam: F0(lam, key)
+def _curve_root(kind: str, key: float) -> float:
+    F, dF = _ROOT_CURVES[kind]
+    f = lambda lam: F(lam, key)
     hi = expand_upper(f, _LAMBDA_LO)
-    return hybrid_root(f, _LAMBDA_LO, hi, df=lambda lam: _dF0(lam, key))
+    return hybrid_root(
+        f, _LAMBDA_LO, hi, df=lambda lam: dF(lam, key, _core(lam, key)[1])
+    )
+
+
+def _root(kind: str, alpha: float) -> float:
+    return _curve_root(kind, round(alpha, _ALPHA_KEY_DIGITS))
 
 
 def tau0(alpha: float) -> float:
     """The starlike limit point: unique root of F0 in (2, inf)."""
     _check_alpha(alpha, 1.0, hi_closed=True)
-    return _tau0_cached(round(alpha, _ALPHA_KEY_DIGITS))
-
-
-@lru_cache(maxsize=None)
-def _tau2_cached(key: float) -> float:
-    f = lambda lam: F2(lam, key)
-    hi = expand_upper(f, _LAMBDA_LO)
-    return hybrid_root(f, _LAMBDA_LO, hi, df=lambda lam: _dF2(lam, key))
+    return _root("tau0", alpha)
 
 
 def tau2(alpha: float) -> float:
@@ -162,14 +157,7 @@ def tau2(alpha: float) -> float:
     Defined for alpha < 1/2 only; at alpha = 1/2 the function F2 stays
     positive on all of (2, inf)."""
     _check_alpha(alpha, 0.5)
-    return _tau2_cached(round(alpha, _ALPHA_KEY_DIGITS))
-
-
-@lru_cache(maxsize=None)
-def _tau1_prime_cached(key: float) -> float:
-    f = lambda lam: F3(lam, key)
-    hi = expand_upper(f, _LAMBDA_LO)
-    return hybrid_root(f, _LAMBDA_LO, hi, df=lambda lam: _dF3(lam, key))
+    return _root("tau2", alpha)
 
 
 def tau1_interval(alpha: float) -> tuple[float, float]:
@@ -184,7 +172,7 @@ def tau1_interval(alpha: float) -> tuple[float, float]:
     t1 = tau0(alpha)
     if alpha == 0.0:
         return t1, math.inf
-    return t1, _tau1_prime_cached(round(alpha, _ALPHA_KEY_DIGITS))
+    return t1, _root("tau1_prime", alpha)
 
 
 def alpha_star() -> tuple[float, float]:
@@ -231,17 +219,21 @@ def quartic_P_alpha(lam: float, alpha: float) -> float:
     )
 
 
+# curve kind -> its value at alpha; each raises ValueError outside its
+# alpha range
+CURVES = {
+    "tau0": tau0,
+    "tau1": lambda alpha: tau1_interval(alpha)[0],
+    "tau1_prime": lambda alpha: tau1_interval(alpha)[1],
+    "tau2": tau2,
+}
+
+
 def threshold_point(kind: str, alpha: float) -> ThresholdCurvePoint:
-    """Evaluate one threshold curve with its defining residual."""
-    if kind == "tau0":
-        v = tau0(alpha)
-        res = abs(F0(v, alpha))
-    elif kind == "tau2":
-        v = tau2(alpha)
-        res = abs(F2(v, alpha))
-    elif kind == "tau1_prime":
-        v = tau1_interval(alpha)[1]
-        res = 0.0 if math.isinf(v) else abs(F3(v, alpha))
-    else:
+    """Evaluate one root-defined threshold curve (tau0, tau2, tau1_prime)
+    with its defining residual."""
+    if kind not in _ROOT_CURVES:
         raise ValueError(f"unknown curve kind: {kind}")
+    v = CURVES[kind](alpha)
+    res = 0.0 if math.isinf(v) else abs(_ROOT_CURVES[kind][0](v, alpha))
     return ThresholdCurvePoint(alpha=alpha, value=v, kind=kind, residual=res)

@@ -5,11 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import alpha_theory as at
@@ -41,21 +38,6 @@ TABLE_ALPHAS = {
 }
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    alpha: Optional[float] = None
-    lam: Optional[float] = None
-    k: Optional[int] = None
-    alphas: Optional[list[float]] = None
-    fmt: str = "text"
-    output: Optional[str] = None
-    digits: int = 10
-    tol: float = 1e-12
-    exploratory: bool = False
-    extra: dict = field(default_factory=dict)
-
-
 def _fmt(value: float, digits: int) -> str:
     if math.isinf(value):
         return "inf"
@@ -71,26 +53,18 @@ def _emit(text: str, output: Optional[str]):
 
 
 def _curve_value(kind: str, alpha: float) -> Optional[float]:
+    curve = at.CURVES[kind]
     try:
-        if kind == "tau0":
-            return at.tau0(alpha)
-        if kind == "tau2":
-            return at.tau2(alpha)
-        if kind == "tau1":
-            return at.tau1_interval(alpha)[0]
-        if kind == "tau1_prime":
-            return at.tau1_interval(alpha)[1]
+        return curve(alpha)
     except ValueError:
         return None
-    raise ValueError(f"unknown curve: {kind}")
 
 
-def cmd_tables(cfg: RunConfig) -> int:
-    which = cfg.extra["which"]
-    kinds = ["tau0", "tau2", "tau1"] if which == "all" else [which]
-    alphas = cfg.alphas
+def cmd_tables(args) -> int:
+    kinds = ["tau0", "tau2", "tau1"] if args.which == "all" else [args.which]
+    alphas = _parse_grid(args)
     lines = [HEADER]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines.append("alpha,tau0,tau1,tau1_prime,tau2")
     rows = []
     for kind in kinds:
@@ -110,8 +84,8 @@ def cmd_tables(cfg: RunConfig) -> int:
                 row["tau1"] = _curve_value("tau1", a)
                 row["tau1_prime"] = _curve_value("tau1_prime", a)
             rows.append((kind, row))
-    d = cfg.digits
-    if cfg.fmt == "json":
+    d = args.digits
+    if args.format == "json":
         payload = []
         for kind, row in rows:
             obj = {"curve": kind, "alpha": row["alpha"]}
@@ -124,10 +98,10 @@ def cmd_tables(cfg: RunConfig) -> int:
                 else:
                     obj[key] = v
             payload.append(obj)
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     for kind, row in rows:
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             cells = [_fmt(row["alpha"], d)]
             for key in ("tau0", "tau1", "tau1_prime", "tau2"):
                 v = row[key]
@@ -140,16 +114,16 @@ def cmd_tables(cfg: RunConfig) -> int:
                 if kind == key or (kind == "tau1" and key in ("tau1", "tau1_prime")):
                     vals.append(f"{key}=" + ("undefined" if v is None else _fmt(v, d)))
             lines.append(f"alpha={_fmt(row['alpha'], d)}  " + "  ".join(vals))
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def cmd_shearer(cfg: RunConfig) -> int:
-    a, lam, k = cfg.alpha, cfg.lam, cfg.k
+def cmd_shearer(args) -> int:
+    a, lam, k = args.alpha, args.lam, args.k
     if not (math.isfinite(a) and math.isfinite(lam)):
         raise ValueError("alpha and lambda must be finite numbers")
     regime = sh.classify_regime(a, lam)
-    if regime is None and not cfg.exploratory:
+    if regime is None and not args.exploratory:
         sys.stderr.write(
             "refusing: lambda is outside every certified regime ("
             + sh.uncovered_reason(a, lam)
@@ -157,11 +131,11 @@ def cmd_shearer(cfg: RunConfig) -> int:
         )
         return 2
     report = sh.convergence_report(
-        a, lam, [k], exploratory=cfg.exploratory, tol=cfg.tol
+        a, lam, [k], exploratory=args.exploratory, tol=args.tol
     )
     seq = sh.build_shearer(a, lam, k)
-    d = cfg.digits
-    if cfg.fmt == "json":
+    d = args.digits
+    if args.format == "json":
         payload = json.loads(seq.to_json())
         payload.update(
             {
@@ -173,7 +147,7 @@ def cmd_shearer(cfg: RunConfig) -> int:
                 "c_over_k": report.c_over_k[0],
             }
         )
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     lines = [HEADER]
     lines.append(f"alpha={_fmt(a, d)} lambda={_fmt(lam, d)} k={k} regime={report.regime}")
@@ -192,7 +166,7 @@ def cmd_shearer(cfg: RunConfig) -> int:
             lines.append(
                 f"  b_{e.left} * b_{e.right} = {_fmt(e.product, d)}  {mark}"
             )
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -212,17 +186,11 @@ def _sweep_row(a: float) -> dict:
     return {"alpha": a, "tau0": t0, "tau1_prime": t1p, "tau2": t2, "label": label}
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    alphas = cfg.alphas or []
-    workers = int(os.environ.get("ALPHA_LIMIT_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_sweep_row, alphas))
-    else:
-        results = [_sweep_row(a) for a in alphas]
+def cmd_sweep(args) -> int:
+    results = [_sweep_row(a) for a in _parse_grid(args)]
     results.sort(key=lambda row: row["alpha"])
-    d = cfg.digits
-    if cfg.fmt == "json":
+    d = args.digits
+    if args.format == "json":
         payload = []
         for row in results:
             obj = dict(row)
@@ -230,7 +198,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 v = obj[key]
                 obj[key] = None if v is None else ("inf" if math.isinf(v) else v)
             payload.append(obj)
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     lines = [HEADER, "alpha,tau0,tau1_prime,tau2,regime"]
     for row in results:
@@ -240,7 +208,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             cells.append("" if v is None else _fmt(v, d))
         cells.append(row["label"])
         lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -309,35 +277,44 @@ def verify_examples(log=print) -> bool:
     return ok
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    suite = cfg.extra["suite"]
+def cmd_verify(args) -> int:
     checks = {
         "inertia": verify_inertia,
         "identities": verify_identities,
         "examples": verify_examples,
     }
-    names = list(checks) if suite == "all" else [suite]
+    names = list(checks) if args.suite == "all" else [args.suite]
     ok = all(checks[name]() for name in names)
     return 0 if ok else 1
 
 
-def cmd_spectral_radius(cfg: RunConfig) -> int:
-    path = cfg.extra["edges"]
+def _read_edges(path: str) -> list[tuple[int, int]]:
+    """0-based edges from a file of 1-based `u v` lines; blank lines and
+    lines starting with `#` are skipped."""
     pairs = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            u, v = line.split()
-            pairs.append((int(u) - 1, int(v) - 1))
-    tree = tree_from_edge_list(pairs)
-    M = a_alpha_weights(tree, cfg.alpha)
-    res = spectral_radius(M, cfg.tol)
+            try:
+                u, v = map(int, fields)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {lineno}: expected two vertex numbers"
+                ) from None
+            pairs.append((u - 1, v - 1))
+    return pairs
+
+
+def cmd_spectral_radius(args) -> int:
+    tree = tree_from_edge_list(_read_edges(args.edges))
+    M = a_alpha_weights(tree, args.alpha)
+    res = spectral_radius(M, args.tol)
     _emit(
-        f"{HEADER}\nrho = {_fmt(res.value, max(cfg.digits, 16))} "
+        f"{HEADER}\nrho = {_fmt(res.value, max(args.digits, 16))} "
         f"(bracket [{res.lower!r}, {res.upper!r}], {res.iterations} iterations)\n",
-        cfg.output,
+        args.output,
     )
     return 0
 
@@ -357,7 +334,7 @@ def _parse_grid(args) -> Optional[list[float]]:
                 vals.append(round(a, 12))
                 a += args.step
             return vals
-        count = args.count or 10
+        count = 10 if args.count is None else args.count
         if count < 1:
             raise ValueError("grid must be non-empty")
         if count == 1:
@@ -367,14 +344,21 @@ def _parse_grid(args) -> Optional[list[float]]:
     return None
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="alpha-limit")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["csv", "json", "text"], default="text")
+    def common(p, formats):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--digits", type=int, default=10)
+        p.add_argument("--digits", type=non_negative_int, default=10)
 
     p = sub.add_parser("tables", help="reproduce the threshold-curve tables")
     p.add_argument("which", choices=["tau0", "tau2", "tau1", "all"])
@@ -385,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--count", type=int, default=None)
-    common(p)
+    common(p, ["csv", "json", "text"])
+    p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("shearer", help="build a caterpillar sequence and diagnostics")
     p.add_argument("-a", "--alpha", type=float, required=True)
@@ -393,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=100)
     p.add_argument("--exploratory", action="store_true")
     p.add_argument("--tol", type=float, default=1e-12)
-    common(p)
+    common(p, ["json", "text"])
+    p.set_defaults(func=cmd_shearer)
 
     p = sub.add_parser("sweep", help="per-alpha threshold and regime summary")
     p.add_argument("--alphas", default=None)
@@ -401,16 +387,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, default=0.49)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--count", type=int, default=50)
-    common(p)
+    common(p, ["csv", "json", "text"])
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("suite", choices=["inertia", "identities", "examples", "all"])
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectral-radius", help="spectral radius of a tree edge list")
     p.add_argument("--edges", required=True, help="file with 1-based `u v` lines")
     p.add_argument("-a", "--alpha", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    common(p)
+    common(p, ["text"])
+    p.set_defaults(func=cmd_spectral_radius)
 
     return ap
 
@@ -420,39 +409,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with one line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"alpha-limit: error: {exc}\n")
         return 2
-
-
-def _run(args) -> int:
-    cfg = RunConfig(subcommand=args.subcommand)
-    if hasattr(args, "format"):
-        cfg.fmt = args.format
-        cfg.output = args.output
-        cfg.digits = args.digits
-    if args.subcommand == "tables":
-        cfg.alphas = _parse_grid(args)
-        cfg.extra["which"] = args.which
-        return cmd_tables(cfg)
-    if args.subcommand == "shearer":
-        cfg.alpha, cfg.lam, cfg.k = args.alpha, args.lam, args.k
-        cfg.exploratory = args.exploratory
-        cfg.tol = args.tol
-        return cmd_shearer(cfg)
-    if args.subcommand == "sweep":
-        cfg.alphas = _parse_grid(args)
-        return cmd_sweep(cfg)
-    if args.subcommand == "verify":
-        cfg.extra["suite"] = args.suite
-        return cmd_verify(cfg)
-    if args.subcommand == "spectral-radius":
-        cfg.alpha = args.alpha
-        cfg.tol = args.tol
-        cfg.extra["edges"] = args.edges
-        return cmd_spectral_radius(cfg)
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .trees import WeightedTreeMatrix
 
 # A pivot with |d| <= ZERO_TOL triggers the zero branch.  Exact zeros only
@@ -242,49 +240,11 @@ def spectral_radius(M: WeightedTreeMatrix, tol: float) -> SpectralRadiusResult:
     )
 
 
-def _jacobi_eigenvalues(a: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """Cyclic Jacobi rotations on a symmetric matrix; returns the sorted
-    eigenvalues.  Intended for small matrices only."""
-    a = a.astype(float).copy()
-    n = a.shape[0]
-    if n == 1:
-        return a.reshape(1)
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(sweeps):
-        off_m = a - np.diag(np.diag(a))
-        off = math.sqrt(float((off_m**2).sum()))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(
-                        1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)), theta
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return np.sort(np.diag(a))
-
-
 def dense_spectrum_oracle(M: WeightedTreeMatrix) -> list[float]:
-    """Full eigenvalue list from an in-repo Jacobi eigensolver, sorted
+    """Full eigenvalue list from LAPACK (`numpy.linalg.eigvalsh`), sorted
     ascending.  Desk-scale verification only (n <= 64)."""
     if M.tree.n > ORACLE_MAX_N:
         raise ValueError(f"oracle is limited to n <= {ORACLE_MAX_N}")
-    return [float(v) for v in _jacobi_eigenvalues(M.dense())]
+    import numpy as np
+
+    return [float(v) for v in np.linalg.eigvalsh(M.dense())]

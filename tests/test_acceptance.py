@@ -82,9 +82,7 @@ for _pos in (11, 35, 60, 84):
 
 
 def _clear_curve_caches():
-    at._tau0_cached.cache_clear()
-    at._tau2_cached.cache_clear()
-    at._tau1_prime_cached.cache_clear()
+    at._curve_root.cache_clear()
 
 
 def test_criterion_1_table_tau0():

@@ -147,14 +147,6 @@ def test_sweep_labels(tmp_path):
     ]
 
 
-def test_sweep_threaded_matches_serial(tmp_path, monkeypatch):
-    argv = ["sweep", "--alphas", "0,0.1,0.2,0.3,0.4"]
-    _, serial = _run_to_file(tmp_path, "serial.csv", argv)
-    monkeypatch.setenv("ALPHA_LIMIT_THREADS", "4")
-    _, threaded = _run_to_file(tmp_path, "threaded.csv", argv)
-    assert serial == threaded
-
-
 def test_sweep_rows_sorted_by_alpha(tmp_path):
     code, text = _run_to_file(
         tmp_path, "sorted.csv", ["sweep", "--alphas", "0.3,0.1,0.2"]
@@ -206,6 +198,9 @@ def _assert_one_line_error(capsys, argv):
         (["shearer", "-a", "0.1", "-l", "2.44", "-k", "0"], "k must be >= 1"),
         (["shearer", "-a", "0.1", "-l", "nan", "--exploratory"], "finite"),
         (["shearer", "-a", "0.1", "-l", "inf"], "finite"),
+        (["tables", "tau0", "--start", "0.1", "--stop", "0.2", "--count", "0"],
+         "grid must be non-empty"),
+        (["sweep", "--count", "0"], "grid must be non-empty"),
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, argv, message):
@@ -239,3 +234,44 @@ def test_shearer_refusal_above_one_half_names_the_reason(capsys):
     err = _assert_one_line_error(capsys, ["shearer", "-a", "0.6", "-l", "5", "-k", "10"])
     assert "alpha >= 1/2: no tau2 threshold exists" in err
     assert "()" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shearer", "-a", "0.1", "-l", "2.44", "--format", "csv"],
+         "invalid choice: 'csv'"),
+        (["spectral-radius", "--edges", "e.txt", "-a", "0.3", "--format", "json"],
+         "invalid choice: 'json'"),
+        (["spectral-radius", "--edges", "e.txt", "-a", "0.3", "--format", "csv"],
+         "invalid choice: 'csv'"),
+        (["tables", "tau0", "--digits", "-1"], "argument --digits: must be >= 0"),
+    ],
+)
+def test_unimplemented_format_and_negative_digits_are_usage_errors(
+    capsys, argv, message
+):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_edge_line_names_file_and_line(tmp_path, capsys):
+    edges = tmp_path / "bad.txt"
+    edges.write_text("# path\n1 2\n\n2 x\n")
+    err = _assert_one_line_error(
+        capsys, ["spectral-radius", "--edges", str(edges), "-a", "0.3"]
+    )
+    assert err == f"alpha-limit: error: {edges} line 4: expected two vertex numbers\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(alpha_limit.__file__).parents[1]))
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, alpha_limit.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "False\n"

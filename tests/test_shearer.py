@@ -300,3 +300,9 @@ def test_sequence_exports():
     assert lines[1] == "k,rho,gap,sigma,c_over_k,Qk"
     assert len(lines) == 4
     assert lines[2].startswith("5,")
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_lambda_is_rejected(lam):
+    with pytest.raises(ValueError, match="finite"):
+        convergence_report(0.1, lam, [10], exploratory=True)
