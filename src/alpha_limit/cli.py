@@ -38,10 +38,28 @@ TABLE_ALPHAS = {
 }
 
 
+# Curve values each table reports, in column order, and every column of
+# the csv and json table layouts.
+TABLE_COLUMNS = {"tau0": ("tau0",), "tau2": ("tau2",), "tau1": ("tau1", "tau1_prime")}
+CURVE_KEYS = ("tau0", "tau1", "tau1_prime", "tau2")
+SWEEP_KEYS = ("tau0", "tau1_prime", "tau2")
+
+
 def _fmt(value: float, digits: int) -> str:
     if math.isinf(value):
         return "inf"
     return f"{value:.{digits}g}"
+
+
+def _json_value(v: Optional[float]):
+    """An undefined threshold is null; an infinite one is the string "inf"."""
+    if v is not None and math.isinf(v):
+        return "inf"
+    return v
+
+
+def _csv_cell(v: Optional[float], digits: int) -> str:
+    return "" if v is None else _fmt(v, digits)
 
 
 def _emit(text: str, output: Optional[str]):
@@ -61,59 +79,35 @@ def _curve_value(kind: str, alpha: float) -> Optional[float]:
 
 
 def cmd_tables(args) -> int:
-    kinds = ["tau0", "tau2", "tau1"] if args.which == "all" else [args.which]
+    kinds = list(TABLE_COLUMNS) if args.which == "all" else [args.which]
     alphas = _parse_grid(args)
-    lines = [HEADER]
-    if args.format == "csv":
-        lines.append("alpha,tau0,tau1,tau1_prime,tau2")
-    rows = []
-    for kind in kinds:
-        for a in alphas if alphas is not None else TABLE_ALPHAS[kind]:
-            row = {
-                "alpha": a,
-                "tau0": None,
-                "tau1": None,
-                "tau1_prime": None,
-                "tau2": None,
-            }
-            if kind == "tau0":
-                row["tau0"] = _curve_value("tau0", a)
-            elif kind == "tau2":
-                row["tau2"] = _curve_value("tau2", a)
-            elif kind == "tau1":
-                row["tau1"] = _curve_value("tau1", a)
-                row["tau1_prime"] = _curve_value("tau1_prime", a)
-            rows.append((kind, row))
+    rows = [
+        (kind, a, {key: _curve_value(key, a) for key in TABLE_COLUMNS[kind]})
+        for kind in kinds
+        for a in (alphas if alphas is not None else TABLE_ALPHAS[kind])
+    ]
     d = args.digits
     if args.format == "json":
-        payload = []
-        for kind, row in rows:
-            obj = {"curve": kind, "alpha": row["alpha"]}
-            for key in ("tau0", "tau1", "tau1_prime", "tau2"):
-                v = row[key]
-                if v is None:
-                    obj[key] = None
-                elif math.isinf(v):
-                    obj[key] = "inf"
-                else:
-                    obj[key] = v
-            payload.append(obj)
+        payload = [
+            {"curve": kind, "alpha": a}
+            | {key: _json_value(vals.get(key)) for key in CURVE_KEYS}
+            for kind, a, vals in rows
+        ]
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
-    for kind, row in rows:
-        if args.format == "csv":
-            cells = [_fmt(row["alpha"], d)]
-            for key in ("tau0", "tau1", "tau1_prime", "tau2"):
-                v = row[key]
-                cells.append("" if v is None else _fmt(v, d))
+    lines = [HEADER]
+    if args.format == "csv":
+        lines.append(",".join(("alpha",) + CURVE_KEYS))
+        for _, a, vals in rows:
+            cells = [_fmt(a, d)] + [_csv_cell(vals.get(key), d) for key in CURVE_KEYS]
             lines.append(",".join(cells))
-        else:
-            vals = []
-            for key in ("tau0", "tau1", "tau1_prime", "tau2"):
-                v = row[key]
-                if kind == key or (kind == "tau1" and key in ("tau1", "tau1_prime")):
-                    vals.append(f"{key}=" + ("undefined" if v is None else _fmt(v, d)))
-            lines.append(f"alpha={_fmt(row['alpha'], d)}  " + "  ".join(vals))
+    else:
+        for _, a, vals in rows:
+            vals_text = (
+                f"{key}=" + ("undefined" if v is None else _fmt(v, d))
+                for key, v in vals.items()
+            )
+            lines.append(f"alpha={_fmt(a, d)}  " + "  ".join(vals_text))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -191,23 +185,15 @@ def cmd_sweep(args) -> int:
     results.sort(key=lambda row: row["alpha"])
     d = args.digits
     if args.format == "json":
-        payload = []
-        for row in results:
-            obj = dict(row)
-            for key in ("tau0", "tau1_prime", "tau2"):
-                v = obj[key]
-                obj[key] = None if v is None else ("inf" if math.isinf(v) else v)
-            payload.append(obj)
+        payload = [
+            row | {key: _json_value(row[key]) for key in SWEEP_KEYS} for row in results
+        ]
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     lines = [HEADER, "alpha,tau0,tau1_prime,tau2,regime"]
     for row in results:
-        cells = [_fmt(row["alpha"], d)]
-        for key in ("tau0", "tau1_prime", "tau2"):
-            v = row[key]
-            cells.append("" if v is None else _fmt(v, d))
-        cells.append(row["label"])
-        lines.append(",".join(cells))
+        cells = [_fmt(row["alpha"], d)] + [_csv_cell(row[key], d) for key in SWEEP_KEYS]
+        lines.append(",".join(cells + [row["label"]]))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -290,7 +276,8 @@ def cmd_verify(args) -> int:
 
 def _read_edges(path: str) -> list[tuple[int, int]]:
     """0-based edges from a file of 1-based `u v` lines; blank lines and
-    lines starting with `#` are skipped."""
+    lines starting with `#` are skipped.  The file's vertices must be
+    numbered exactly 1..n."""
     pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -303,8 +290,14 @@ def _read_edges(path: str) -> list[tuple[int, int]]:
                 raise ValueError(
                     f"{path} line {lineno}: expected two vertex numbers"
                 ) from None
-            pairs.append((u - 1, v - 1))
-    return pairs
+            pairs.append((u, v))
+    verts = {u for e in pairs for u in e}
+    if verts and (min(verts) != 1 or max(verts) != len(verts)):
+        raise ValueError(
+            f"{path}: vertices must be numbered 1..{len(verts)}, "
+            f"found {min(verts)}..{max(verts)}"
+        )
+    return [(u - 1, v - 1) for u, v in pairs]
 
 
 def cmd_spectral_radius(args) -> int:
@@ -405,12 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand.  Input the library rejects (a ValueError) ends
-    with one line on stderr and exit code 2."""
+    """Run one subcommand.  Input the library rejects (a ValueError) and a
+    file that cannot be read or written (an OSError) end with one line on
+    stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"alpha-limit: error: {exc}\n")
         return 2
 

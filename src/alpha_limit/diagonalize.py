@@ -6,7 +6,6 @@ relative to -x (Sylvester's law of inertia).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,16 +30,6 @@ class DiagResult:
     n_pos: int
     n_neg: int
     n_zero: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": list(self.d),
-                "n_pos": self.n_pos,
-                "n_neg": self.n_neg,
-                "n_zero": self.n_zero,
-            }
-        )
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import alpha_theory as at
-from .alpha_theory import AlphaLambda, phi
+from .alpha_theory import AlphaLambda
 from .diagonalize import spectral_radius
 from .trees import CaterpillarSpec, a_alpha_weights, make_caterpillar
 
@@ -26,13 +27,11 @@ _WINDOW_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class ShearerSequence:
-    """Pendant counts r_1..r_k, spine diagonal values b_1..b_k and the
-    derivative d b_j / d eps at eps = 0."""
+    """Pendant counts r_1..r_k and spine diagonal values b_1..b_k."""
 
     params: AlphaLambda
     r: tuple[int, ...]
     b: tuple[float, ...]
-    db: tuple[float, ...]
 
     @property
     def k(self) -> int:
@@ -93,14 +92,40 @@ class ConvergenceReport:
     Qk: tuple[float, ...]
     c_over_k: tuple[float, ...]
 
-    def to_csv(self) -> str:
-        lines = ["# alpha-limit v1", "k,rho,gap,sigma,c_over_k,Qk"]
-        for i, ki in enumerate(self.k):
-            lines.append(
-                f"{ki},{self.rho_k[i]!r},{self.gap_k[i]!r},"
-                f"{self.sigma_k[i]!r},{self.c_over_k[i]!r},{self.Qk[i]!r}"
-            )
-        return "\n".join(lines) + "\n"
+
+def _spine(
+    alpha: float,
+    lam: float,
+    k: int,
+    r: Optional[Sequence[int]] = None,
+    tp: Optional[float] = None,
+) -> Iterator[tuple[int, float]]:
+    """Yield (r_j, b_j) for j = 1..k: the spine pivots of A_alpha - lam*I
+    on a caterpillar, leaf pivots folded in.
+
+    b_j = phi(b_{j-1}) + r_j*delta, with phi replaced by alpha - lam at
+    j = 1; the last vertex has one neighbour fewer, so its value carries
+    an extra -alpha.  With r given the counts are replayed; otherwise each
+    r_j is the largest count that keeps b_j below tp.  The float
+    operations and their order are pinned bit for bit by the golden spine
+    values in the tests.
+    """
+    one_a2 = (1.0 - alpha) ** 2
+    d = alpha + one_a2 / (lam - alpha)
+    bj = None
+    for j in range(1, k + 1):
+        ph = alpha - lam if j == 1 else 2.0 * alpha - lam - one_a2 / bj
+        extra = alpha if j == k else 0.0
+        if r is None:
+            rj = math.floor((tp - ph + extra) / d + FLOOR_NUDGE)
+            if rj < 0:
+                raise RuntimeError(
+                    f"negative pendant count r_{j} = {rj}; recurrence invariant violated"
+                )
+        else:
+            rj = r[j - 1]
+        bj = ph - extra + rj * d
+        yield rj, bj
 
 
 def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
@@ -114,41 +139,8 @@ def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
     if k < 1:
         raise ValueError("k must be >= 1")
     p = AlphaLambda(alpha, lam)
-    d = p.delta
-    tp = p.theta_prime
-    one_a2 = (1.0 - alpha) ** 2
-    pend = one_a2 / (lam - alpha) ** 2  # per-pendant derivative drift
-    r: list[int] = []
-    b: list[float] = []
-    db: list[float] = []
-
-    def push(rj: int, bj: float, dbj: float):
-        if rj < 0:
-            raise RuntimeError(
-                f"negative pendant count r_{len(r) + 1} = {rj}; recurrence invariant violated"
-            )
-        r.append(rj)
-        b.append(bj)
-        db.append(dbj)
-
-    if k == 1:
-        r1 = math.floor((tp - (alpha - lam) + alpha) / d + FLOOR_NUDGE)
-        push(r1, -alpha + (alpha - lam) + r1 * d, 1.0 + r1 * pend)
-    else:
-        r1 = math.floor((tp - (alpha - lam)) / d + FLOOR_NUDGE)
-        push(r1, alpha - lam + r1 * d, 1.0 + r1 * pend)
-        for _ in range(2, k):
-            ph = phi(b[-1], p)
-            rj = math.floor((tp - ph) / d + FLOOR_NUDGE)
-            bj = ph + rj * d
-            dbj = 1.0 + one_a2 / b[-1] ** 2 * db[-1] + rj * pend
-            push(rj, bj, dbj)
-        ph = phi(b[-1], p)
-        rk = math.floor((tp - ph + alpha) / d + FLOOR_NUDGE)
-        bk = -alpha + ph + rk * d
-        dbk = 1.0 + one_a2 / b[-1] ** 2 * db[-1] + rk * pend
-        push(rk, bk, dbk)
-    return ShearerSequence(params=p, r=tuple(r), b=tuple(b), db=tuple(db))
+    r, b = zip(*_spine(alpha, lam, k, tp=p.theta_prime))
+    return ShearerSequence(params=p, r=r, b=b)
 
 
 def zero_runs(r: Sequence[int]) -> list[tuple[int, int]]:
@@ -205,23 +197,9 @@ def _past_root(seq: ShearerSequence, j: int, eps: float) -> bool:
     already passed that vertex's root (the roots decrease along the
     spine), so the predicate is monotone on all of (0, lam - alpha).
     """
-    a = seq.params.alpha
-    lam = seq.params.lam - eps
-    one_a2 = (1.0 - a) ** 2
-    d = a + one_a2 / (lam - a)
-    r = seq.r
-    if seq.k == 1:
-        return -a + (a - lam) + r[0] * d >= 0.0
-    b = a - lam + r[0] * d
-    if j == 1:
-        return b >= 0.0
-    for i in range(1, j):
-        if b >= 0.0:
-            return True
-        b = 2.0 * a - lam - one_a2 / b + r[i] * d
-        if i == seq.k - 1:
-            b -= a
-    return b >= 0.0
+    p = seq.params
+    spine = _spine(p.alpha, p.lam - eps, seq.k, r=seq.r)
+    return any(bj >= 0.0 for _, bj in islice(spine, j))
 
 
 def epsilon_roots(seq: ShearerSequence, j_list: Iterable[int]) -> list[float]:
@@ -253,8 +231,18 @@ def epsilon_roots(seq: ShearerSequence, j_list: Iterable[int]) -> list[float]:
 
 
 def sigma_bound(seq: ShearerSequence) -> float:
-    """Root of the tangent line to eps -> b_k(eps) at eps = 0."""
-    return -seq.b[-1] / seq.db[-1]
+    """Root of the tangent line to eps -> b_k(eps) at eps = 0.
+
+    The derivative d b_j / d eps follows from differentiating the spine
+    recurrence: each pendant leaf adds (1 - alpha)^2 / (lam - alpha)^2.
+    """
+    a, lam = seq.params.alpha, seq.params.lam
+    one_a2 = (1.0 - a) ** 2
+    pend = one_a2 / (lam - a) ** 2
+    db = 1.0 + seq.r[0] * pend
+    for b_prev, rj in zip(seq.b, seq.r[1:]):
+        db = 1.0 + one_a2 / b_prev ** 2 * db + rj * pend
+    return -seq.b[-1] / db
 
 
 def divergence_sum(seq: ShearerSequence) -> float:

@@ -5,7 +5,6 @@ reports) is 1-based.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,16 +86,6 @@ class CaterpillarSpec:
     @property
     def n(self) -> int:
         return self.k + sum(self.r)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.r))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CaterpillarSpec":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of integers")
-        return cls(tuple(int(x) for x in data))
 
 
 @dataclass(frozen=True)

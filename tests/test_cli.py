@@ -266,6 +266,32 @@ def test_malformed_edge_line_names_file_and_line(tmp_path, capsys):
     assert err == f"alpha-limit: error: {edges} line 4: expected two vertex numbers\n"
 
 
+def test_unreadable_edges_and_unwritable_output_are_one_line_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    err = _assert_one_line_error(
+        capsys, ["spectral-radius", "--edges", str(missing), "-a", "0.3"]
+    )
+    assert "No such file or directory" in err and str(missing) in err
+    out = tmp_path / "no-such-dir" / "x"
+    err = _assert_one_line_error(capsys, ["tables", "tau0", "-o", str(out)])
+    assert "No such file or directory" in err and str(out) in err
+
+
+@pytest.mark.parametrize(
+    "text, found",
+    [("0 1\n1 2\n", "found 0..2"), ("1 2\n2 4\n", "found 1..4")],
+)
+def test_edge_file_numbering_is_named_in_its_own_terms(tmp_path, capsys, text, found):
+    edges = tmp_path / "e.txt"
+    edges.write_text(text)
+    err = _assert_one_line_error(
+        capsys, ["spectral-radius", "--edges", str(edges), "-a", "0.3"]
+    )
+    assert err == (
+        f"alpha-limit: error: {edges}: vertices must be numbered 1..3, {found}\n"
+    )
+
+
 def test_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(alpha_limit.__file__).parents[1]))
     p = subprocess.run(

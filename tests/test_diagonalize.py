@@ -2,7 +2,6 @@
 eigenvalue oracle."""
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
@@ -48,9 +47,8 @@ def test_p3_zero_eigenvalue():
 
 def test_diag_result_json():
     res = diagonalize(a_alpha_weights(make_path(2), 0.0), 0.0)
-    data = json.loads(res.to_json())
-    assert data["d"] == [2.0, -0.5]
-    assert data["n_pos"] == 1 and data["n_neg"] == 1 and data["n_zero"] == 0
+    assert res.d == (2.0, -0.5)
+    assert (res.n_pos, res.n_neg, res.n_zero) == (1, 1, 0)
 
 
 def test_count_eigenvalues_greater_small_cases():
