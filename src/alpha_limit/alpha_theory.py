@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._roots import expand_upper, hybrid_root
-
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
@@ -17,6 +15,13 @@ _ALPHA_KEY_DIGITS = 12
 
 # lower end of every lambda bracket; all F's are defined and signed there
 _LAMBDA_LO = 2.0 + 1e-9
+
+# the upper bracket end starts here and doubles up to the cap; bisection
+# stops at this width, then this many Newton steps polish the root
+_BRACKET_START = 8.0
+_BRACKET_CAP = 2.0**40
+_BISECT_TOL = 1e-13
+_NEWTON_STEPS = 3
 
 
 def _check_alpha(alpha: float, hi_open: float = 1.0, hi_closed: bool = False):
@@ -65,14 +70,6 @@ class AlphaLambda:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "theta_prime", theta_prime)
         object.__setattr__(self, "delta", delta)
-
-
-@dataclass(frozen=True)
-class ThresholdCurvePoint:
-    alpha: float
-    value: float
-    kind: str  # tau0 | tau2 | tau1_prime
-    residual: float
 
 
 def phi(t: float, p: AlphaLambda) -> float:
@@ -133,12 +130,42 @@ _ROOT_CURVES = {
 
 @lru_cache(maxsize=None)
 def _curve_root(kind: str, key: float) -> float:
+    """Root of the curve's F in (2, inf) at alpha = key.
+
+    The upper bracket end doubles until F changes sign against
+    F(_LAMBDA_LO); bisection narrows the bracket, then Newton steps
+    polish its midpoint.  A Newton step longer than four bracket widths
+    is discarded and ends the polish, so the polish cannot diverge.
+    """
     F, dF = _ROOT_CURVES[kind]
-    f = lambda lam: F(lam, key)
-    hi = expand_upper(f, _LAMBDA_LO)
-    return hybrid_root(
-        f, _LAMBDA_LO, hi, df=lambda lam: dF(lam, key, _core(lam, key)[1])
-    )
+    lo, flo = _LAMBDA_LO, F(_LAMBDA_LO, key)
+    hi = _BRACKET_START
+    while not F(hi, key) * flo < 0:
+        hi *= 2.0
+        if hi > _BRACKET_CAP:
+            raise ValueError("no sign change found while expanding the bracket")
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = F(mid, key)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    x = 0.5 * (lo + hi)
+    span = max(hi - lo, _BISECT_TOL)
+    for _ in range(_NEWTON_STEPS):
+        dfx = dF(x, key, _core(x, key)[1])
+        if dfx == 0.0:
+            break
+        xn = x - F(x, key) / dfx
+        if abs(xn - x) > 4 * span:
+            break
+        x = xn
+    return x
 
 
 def _root(kind: str, alpha: float) -> float:
@@ -228,12 +255,3 @@ CURVES = {
     "tau2": tau2,
 }
 
-
-def threshold_point(kind: str, alpha: float) -> ThresholdCurvePoint:
-    """Evaluate one root-defined threshold curve (tau0, tau2, tau1_prime)
-    with its defining residual."""
-    if kind not in _ROOT_CURVES:
-        raise ValueError(f"unknown curve kind: {kind}")
-    v = CURVES[kind](alpha)
-    res = 0.0 if math.isinf(v) else abs(_ROOT_CURVES[kind][0](v, alpha))
-    return ThresholdCurvePoint(alpha=alpha, value=v, kind=kind, residual=res)

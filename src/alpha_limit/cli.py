@@ -127,20 +127,22 @@ def cmd_shearer(args) -> int:
     report = sh.convergence_report(
         a, lam, [k], exploratory=args.exploratory, tol=args.tol
     )
-    seq = sh.build_shearer(a, lam, k)
+    seq = report.sequences[0]
     d = args.digits
     if args.format == "json":
-        payload = json.loads(seq.to_json())
-        payload.update(
-            {
-                "regime": report.regime,
-                "rho": report.rho_k[0],
-                "gap": report.gap_k[0],
-                "sigma": report.sigma_k[0],
-                "Qk": report.Qk[0],
-                "c_over_k": report.c_over_k[0],
-            }
-        )
+        payload = {
+            "alpha": a,
+            "lambda": lam,
+            "k": k,
+            "r": list(seq.r),
+            "b": list(seq.b),
+            "regime": report.regime,
+            "rho": report.rho_k[0],
+            "gap": report.gap_k[0],
+            "sigma": report.sigma_k[0],
+            "Qk": report.Qk[0],
+            "c_over_k": report.c_over_k[0],
+        }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     lines = [HEADER]
@@ -220,6 +222,11 @@ def verify_inertia(trials: int = 200, log=print) -> bool:
         if (res.n_pos, res.n_neg, res.n_zero) != (pos, neg, zero):
             log(f"FAIL inertia trial {t}: {res.n_pos, res.n_neg, res.n_zero} vs {pos, neg, zero}")
             ok = False
+        # the compiled kernel behind every spectral radius
+        n_greater = count_eigenvalues_greater(M, c)
+        if n_greater != pos:
+            log(f"FAIL inertia trial {t}: count_eigenvalues_greater {n_greater} vs {pos}")
+            ok = False
     log(f"{'PASS' if ok else 'FAIL'} inertia: {trials} random trees vs dense oracle")
     return ok
 
@@ -253,7 +260,7 @@ def verify_examples(log=print) -> bool:
     rep = sh.convergence_report(0.01, 2.06, [100])
     if abs(rep.rho_k[0] - 2.0599985378552725) > 1e-9:
         ok = False
-    seq = sh.build_shearer(0.01, 2.06, 100)
+    seq = rep.sequences[0]
     if abs(seq.b[0] - (-1.0738048780487808)) > 1e-12:
         ok = False
     pr = sh.pairing_check(seq)
@@ -355,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce the threshold-curve tables")
     p.add_argument("which", choices=["tau0", "tau2", "tau1", "all"])
-    p.add_argument("--paper-rows", action="store_true",
-                   help="use the published sample points (default)")
     p.add_argument("--alphas", default=None, help="comma-separated alpha values")
     p.add_argument("--start", type=float, default=None)
     p.add_argument("--stop", type=float, default=None)

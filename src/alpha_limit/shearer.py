@@ -2,7 +2,6 @@
 the convergence diagnostics that certify the limit."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -11,7 +10,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import alpha_theory as at
 from .alpha_theory import AlphaLambda
 from .diagonalize import spectral_radius
-from .trees import CaterpillarSpec, a_alpha_weights, make_caterpillar
+from .trees import a_alpha_weights, make_caterpillar
 
 # Guards floor() against values that are mathematically integral landing
 # one ulp below; a flipped r_j would change the entire tail.
@@ -36,20 +35,6 @@ class ShearerSequence:
     @property
     def k(self) -> int:
         return len(self.r)
-
-    def caterpillar_spec(self) -> CaterpillarSpec:
-        return CaterpillarSpec(self.r)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.params.alpha,
-                "lambda": self.params.lam,
-                "k": self.k,
-                "r": list(self.r),
-                "b": list(self.b),
-            }
-        )
 
     def compact_text(self) -> str:
         return "[" + ", ".join(str(ri) for ri in self.r) + "]"
@@ -91,6 +76,7 @@ class ConvergenceReport:
     sigma_k: tuple[float, ...]
     Qk: tuple[float, ...]
     c_over_k: tuple[float, ...]
+    sequences: tuple[ShearerSequence, ...]  # G_k for each sampled k
 
 
 def _spine(
@@ -342,6 +328,7 @@ def convergence_report(
     positive even when the spectral radius agrees with lam to within the
     bisection tolerance.
     """
+    p = AlphaLambda(alpha, lam)
     regime = classify_regime(alpha, lam)
     boundary = alpha < 0.5 and lam == at.tau2(alpha)
     if regime is None:
@@ -353,12 +340,11 @@ def convergence_report(
             )
         regime = "exploratory"
     ks = sorted(set(k_samples))
+    seqs = [build_shearer(alpha, lam, k) for k in ks]
     rho_l, gap_l, sig_l, qk_l, ck_l = [], [], [], [], []
-    p = AlphaLambda(alpha, lam)
     c_const = p.delta - p.theta_prime
-    for k in ks:
-        seq = build_shearer(alpha, lam, k)
-        tree = make_caterpillar(seq.caterpillar_spec())
+    for k, seq in zip(ks, seqs):
+        tree = make_caterpillar(seq.r)
         sr = spectral_radius(a_alpha_weights(tree, alpha), tol)
         rho_l.append(sr.value)
         gap_l.append(lam - sr.lower)
@@ -376,4 +362,5 @@ def convergence_report(
         sigma_k=tuple(sig_l),
         Qk=tuple(qk_l),
         c_over_k=tuple(ck_l),
+        sequences=tuple(seqs),
     )

@@ -1,7 +1,6 @@
 """Rooted tree constructors and A_alpha weightings.
 
-Vertex indices are 0-based internally; all text output (edge lists,
-reports) is 1-based.
+Vertex indices are 0-based; the CLI's edge-list files are 1-based.
 """
 from __future__ import annotations
 
@@ -62,31 +61,6 @@ class RootedTree:
         """Edges as (child, parent) pairs, 0-based."""
         return [(v, p) for v, p in enumerate(self.parent) if p is not None]
 
-    def edge_list_text(self) -> str:
-        """1-based `u v` per line, for external inspection."""
-        return "\n".join(f"{v + 1} {p + 1}" for v, p in self.edges())
-
-
-@dataclass(frozen=True)
-class CaterpillarSpec:
-    """Pendant counts [r_1, ..., r_k] along a spine path of k vertices."""
-
-    r: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.r) < 1:
-            raise ValueError("need at least one spine vertex")
-        if any(ri < 0 for ri in self.r):
-            raise ValueError("pendant counts must be non-negative")
-
-    @property
-    def k(self) -> int:
-        return len(self.r)
-
-    @property
-    def n(self) -> int:
-        return self.k + sum(self.r)
-
 
 @dataclass(frozen=True)
 class WeightedTreeMatrix:
@@ -126,38 +100,33 @@ class WeightedTreeMatrix:
         return a
 
 
-def make_caterpillar(spec: CaterpillarSpec) -> RootedTree:
+def make_caterpillar(r: Sequence[int]) -> RootedTree:
     """Caterpillar with spine v_1..v_k (v_k the root) and r_i pendant
-    leaves at v_i.
+    leaves at v_i, for the pendant counts r = [r_1, ..., r_k].
 
     Spine vertices take indices 0..k-1; leaves follow, grouped by spine
     vertex.  The bottom-up order lists all leaves first, then the spine
     from v_1 up to v_k, so that diagonalization visits the spine in the
     natural order.
     """
-    k = spec.k
-    n = spec.n
+    k = len(r)
+    if k < 1:
+        raise ValueError("need at least one spine vertex")
+    if any(ri < 0 for ri in r):
+        raise ValueError("pendant counts must be non-negative")
+    n = k + sum(r)
     parent: list[Optional[int]] = [None] * n
     for i in range(k - 1):
         parent[i] = i + 1
     leaf = k
     leaves = []
-    for i, ri in enumerate(spec.r):
+    for i, ri in enumerate(r):
         for _ in range(ri):
             parent[leaf] = i
             leaves.append(leaf)
             leaf += 1
     order = tuple(leaves + list(range(k)))
     return RootedTree(n=n, parent=tuple(parent), order=order)
-
-
-def read_pendant_counts(tree: RootedTree, k: int) -> tuple[int, ...]:
-    """Pendant-leaf counts of the first k (spine) vertices; inverse of
-    make_caterpillar for trees built by it."""
-    counts = []
-    for i in range(k):
-        counts.append(sum(1 for c in tree.children[i] if c >= k))
-    return tuple(counts)
 
 
 def make_starlike_1nn(n: int) -> RootedTree:

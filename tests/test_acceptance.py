@@ -182,7 +182,7 @@ def test_criterion_5_example_alpha_01():
             for i in range(len(B_TAIL_A01))
         ),
     )
-    tree = al.make_caterpillar(seq.caterpillar_spec())
+    tree = al.make_caterpillar(seq.r)
     sr = al.spectral_radius(al.a_alpha_weights(tree, 0.1), 1e-12)
     gap = 2.44 - sr.lower
     rho_err = abs(sr.value - 2.4399999999999995)
@@ -216,7 +216,7 @@ def test_criterion_6_example_alpha_001():
         abs(by_pair[key] - val) for key, val in expected_products.items()
     )
     below_bound = all(by_pair[key] < 0.9801 for key in expected_products)
-    tree = al.make_caterpillar(seq.caterpillar_spec())
+    tree = al.make_caterpillar(seq.r)
     sr = al.spectral_radius(al.a_alpha_weights(tree, 0.01), 1e-12)
     rho_err = abs(sr.value - 2.0599985378552725)
     ok = (

@@ -22,7 +22,6 @@ from alpha_limit import (
     tau1_interval,
     tau2,
 )
-from alpha_limit.alpha_theory import threshold_point
 from alpha_limit.diagonalize import spectral_radius
 from alpha_limit.trees import a_alpha_weights, make_starlike_1nn
 
@@ -215,13 +214,10 @@ def test_quartic():
         assert quartic_P_alpha(tau0(a), a) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_threshold_point_residuals():
-    for kind, a in [("tau0", 0.3), ("tau2", 0.3), ("tau1_prime", 0.1)]:
-        pt = threshold_point(kind, a)
-        assert pt.residual <= 1e-10
-        assert pt.kind == kind
-    with pytest.raises(ValueError):
-        threshold_point("tau9", 0.1)
+def test_threshold_curve_residuals():
+    assert abs(F0(tau0(0.3), 0.3)) <= 1e-10
+    assert abs(F2(tau2(0.3), 0.3)) <= 1e-10
+    assert abs(F3(tau1_interval(0.1)[1], 0.1)) <= 1e-10
 
 
 def test_concurrent_calls_match_serial():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import alpha_limit
+from alpha_limit import cli, shearer
 from alpha_limit.cli import main
 
 
@@ -21,7 +22,7 @@ def _run_to_file(tmp_path, name, argv):
 
 
 def test_tables_tau0_paper_rows(tmp_path):
-    code, text = _run_to_file(tmp_path, "t0.txt", ["tables", "tau0", "--paper-rows"])
+    code, text = _run_to_file(tmp_path, "t0.txt", ["tables", "tau0"])
     assert code == 0
     assert text.startswith("# alpha-limit v1\n")
     assert "tau0=2.058171027" in text
@@ -108,6 +109,26 @@ def test_shearer_json(tmp_path):
     assert data["rho"] < 2.44 < data["rho"] + data["gap"] + 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "20"], [(0.1, 2.44, 20)]),
+        (["verify", "examples"], [(0.1, 2.44, 100), (0.01, 2.06, 100)]),
+    ],
+)
+def test_each_caterpillar_is_built_once(monkeypatch, capsys, argv, builds):
+    calls = []
+    build = shearer.build_shearer
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(shearer, "build_shearer", counting)
+    assert main(argv) == 0
+    assert calls == builds
+
+
 def test_shearer_refusal_names_thresholds(capsys):
     code = main(["shearer", "-a", "0.22", "-l", "2.4", "-k", "20"])
     assert code == 2
@@ -160,6 +181,14 @@ def test_verify_identities_exit_code(capsys):
     assert main(["verify", "identities"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS")
+
+
+def test_verify_inertia_checks_the_compiled_kernel(monkeypatch):
+    count = cli.count_eigenvalues_greater
+    monkeypatch.setattr(cli, "count_eigenvalues_greater", lambda M, c: count(M, c) + 1)
+    lines = []
+    assert cli.verify_inertia(log=lines.append) is False
+    assert lines[-1].startswith("FAIL inertia")
 
 
 def test_spectral_radius_subcommand(tmp_path):

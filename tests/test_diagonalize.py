@@ -18,7 +18,6 @@ from alpha_limit.diagonalize import (
 )
 from alpha_limit.shearer import build_shearer
 from alpha_limit.trees import (
-    CaterpillarSpec,
     RootedTree,
     WeightedTreeMatrix,
     a_alpha_weights,
@@ -88,7 +87,7 @@ def test_inertia_permutation_invariance():
     # relabeling the vertices (hence reordering children) must not change
     # the inertia counts
     rng = random.Random(5)
-    tree = make_caterpillar(CaterpillarSpec((3, 0, 2, 1)))
+    tree = make_caterpillar((3, 0, 2, 1))
     base = a_alpha_weights(tree, 0.3)
     for _ in range(10):
         perm = list(range(tree.n))
@@ -112,7 +111,7 @@ def test_spectral_radius_simple_values():
     assert spectral_radius(
         a_alpha_weights(make_path(2), 0.0), 1e-12
     ).value == pytest.approx(1.0, abs=1e-11)
-    star = make_caterpillar(CaterpillarSpec((4,)))
+    star = make_caterpillar((4,))
     assert spectral_radius(a_alpha_weights(star, 0.0), 1e-12).value == pytest.approx(
         2.0, abs=1e-11
     )
@@ -152,7 +151,7 @@ def test_subgraph_monotonicity_nested_caterpillars():
     r = (3, 1, 2, 0, 1, 2, 1)
     prev = None
     for k in range(2, len(r) + 1):
-        tree = make_caterpillar(CaterpillarSpec(r[:k]))
+        tree = make_caterpillar(r[:k])
         rho = spectral_radius(a_alpha_weights(tree, 0.2), 1e-11).value
         if prev is not None:
             assert rho > prev
@@ -261,7 +260,7 @@ def test_count_with_two_zero_pivot_leaf_groups():
 @pytest.mark.parametrize("alpha, lam", [(0.1, 2.44), (0.01, 2.06)])
 def test_spectral_radius_matches_reference_bisection(alpha, lam, monkeypatch):
     seq = build_shearer(alpha, lam, 100)
-    tree = make_caterpillar(seq.caterpillar_spec())
+    tree = make_caterpillar(seq.r)
     planned = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
     monkeypatch.setattr(
         sys.modules["alpha_limit.diagonalize"],

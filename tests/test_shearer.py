@@ -1,8 +1,8 @@
 """Greedy caterpillar sequences and their convergence diagnostics."""
 from __future__ import annotations
 
-import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,7 +59,7 @@ def test_spine_matches_diagonalize_small_k():
     # sum for large k)
     for a, lam, k in [(0.1, 2.44, 12), (0.01, 2.06, 15), (0.25, 3.0, 10), (0.0, 2.5, 8)]:
         seq = build_shearer(a, lam, k)
-        tree = make_caterpillar(seq.caterpillar_spec())
+        tree = make_caterpillar(seq.r)
         res = diagonalize(a_alpha_weights(tree, a), -lam)
         spine = res.d[-k:]
         for bj, dj in zip(seq.b, spine):
@@ -104,7 +104,7 @@ def test_monotone_radii_and_gaps():
     prev_gap = None
     for k in (5, 10, 20, 40):
         seq = build_shearer(0.1, 2.44, k)
-        tree = make_caterpillar(seq.caterpillar_spec())
+        tree = make_caterpillar(seq.r)
         sr = spectral_radius(a_alpha_weights(tree, 0.1), 1e-12)
         gap = 2.44 - sr.value
         if prev_rho is not None:
@@ -120,7 +120,7 @@ def test_epsilon_roots_decrease_and_bound_gap():
     for k in (10, 50):
         sub = build_shearer(0.1, 2.44, k)
         ek = epsilon_roots(sub, [k])[0]
-        tree = make_caterpillar(sub.caterpillar_spec())
+        tree = make_caterpillar(sub.r)
         sr = spectral_radius(a_alpha_weights(tree, 0.1), 1e-13)
         assert 2.44 - sr.value < ek + 1e-12
 
@@ -235,7 +235,7 @@ def test_example_001_radius_cross_check():
     import numpy as np
 
     seq = build_shearer(0.01, 2.06, 100)
-    tree = make_caterpillar(seq.caterpillar_spec())
+    tree = make_caterpillar(seq.r)
     M = a_alpha_weights(tree, 0.01)
 
     def count_above(shift: Fraction) -> int:
@@ -289,6 +289,7 @@ def test_convergence_report_fields_and_determinism():
     rep2 = convergence_report(0.1, 2.44, [20, 10])
     assert rep1 == rep2  # order independent, sorted by k
     assert rep1.k == (10, 20)
+    assert rep1.sequences == (build_shearer(0.1, 2.44, 10), build_shearer(0.1, 2.44, 20))
     for g, s, c in zip(rep1.gap_k, rep1.sigma_k, rep1.c_over_k):
         assert 0 < g
         assert g <= s + 1e-12
@@ -297,10 +298,13 @@ def test_convergence_report_fields_and_determinism():
 
 def test_sequence_exports():
     seq = build_shearer(0.1, 2.44, 6)
-    data = json.loads(seq.to_json())
-    assert data["alpha"] == 0.1 and data["lambda"] == 2.44 and data["k"] == 6
-    assert data["r"] == list(seq.r) and data["b"] == list(seq.b)
     assert seq.compact_text() == "[" + ", ".join(map(str, seq.r)) + "]"
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_alpha_is_rejected_before_the_regime_gate(alpha):
+    with pytest.raises(ValueError, match=re.escape("alpha must lie in [0, 1)")):
+        convergence_report(alpha, 2.5, [10])
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf])

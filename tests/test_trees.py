@@ -8,13 +8,11 @@ import pytest
 
 from alpha_limit.diagonalize import dense_spectrum_oracle, spectral_radius
 from alpha_limit.trees import (
-    CaterpillarSpec,
     RootedTree,
     a_alpha_weights,
     make_caterpillar,
     make_path,
     make_starlike_1nn,
-    read_pendant_counts,
     tree_from_edge_list,
 )
 
@@ -31,20 +29,25 @@ def _assert_degree_sum(tree: RootedTree):
     assert sum(tree.degree) == 2 * (tree.n - 1)
 
 
+def _pendant_counts(tree: RootedTree, k: int) -> tuple[int, ...]:
+    """Leaf children of each of the k spine vertices."""
+    return tuple(sum(1 for c in tree.children[i] if c >= k) for i in range(k))
+
+
 def test_caterpillar_single_leaf_is_path_2():
-    tree = make_caterpillar(CaterpillarSpec((1,)))
+    tree = make_caterpillar((1,))
     assert tree.n == 2
     assert tree.degree == (1, 1)
     _assert_bottom_up(tree)
 
 
 def test_caterpillar_4_0_1():
-    tree = make_caterpillar(CaterpillarSpec((4, 0, 1)))
+    tree = make_caterpillar((4, 0, 1))
     assert tree.n == 8
     # spine degrees: v_1 has 4 leaves + 1 spine edge, v_2 two spine edges,
     # v_3 one spine edge + 1 leaf
     assert tree.degree[:3] == (5, 2, 2)
-    assert read_pendant_counts(tree, 3) == (4, 0, 1)
+    assert _pendant_counts(tree, 3) == (4, 0, 1)
     _assert_degree_sum(tree)
     _assert_bottom_up(tree)
 
@@ -54,17 +57,17 @@ def test_caterpillar_round_trip_random():
     for _ in range(50):
         k = rng.randint(1, 12)
         r = tuple(rng.randint(0, 5) for _ in range(k))
-        tree = make_caterpillar(CaterpillarSpec(r))
-        assert read_pendant_counts(tree, k) == r
+        tree = make_caterpillar(r)
+        assert _pendant_counts(tree, k) == r
         _assert_degree_sum(tree)
         _assert_bottom_up(tree)
 
 
-def test_caterpillar_spec_validation():
-    with pytest.raises(ValueError):
-        CaterpillarSpec(())
-    with pytest.raises(ValueError):
-        CaterpillarSpec((1, -1))
+def test_caterpillar_validation():
+    with pytest.raises(ValueError, match="at least one spine vertex"):
+        make_caterpillar(())
+    with pytest.raises(ValueError, match="non-negative"):
+        make_caterpillar((1, -1))
 
 
 def test_starlike_small_shapes():
@@ -90,7 +93,7 @@ def test_starlike_n5_radius_below_small_limit():
 
 
 def test_a_alpha_weights_adjacency_and_degree_cases():
-    tree = make_caterpillar(CaterpillarSpec((2, 1)))
+    tree = make_caterpillar((2, 1))
     m0 = a_alpha_weights(tree, 0.0)
     assert all(d == 0.0 for d in m0.diag)
     assert all(m0.edge_w[v] == 1.0 for v, _ in tree.edges())
@@ -129,13 +132,8 @@ def test_rooted_tree_validation():
         RootedTree(n=2, parent=(1, None), order=(0, 0))  # not a permutation
 
 
-def test_edge_list_text_is_one_based():
-    tree = make_path(3)
-    assert tree.edge_list_text() == "1 2\n2 3"
-
-
 def test_tree_from_edge_list_round_trip():
-    tree = make_caterpillar(CaterpillarSpec((2, 0, 3)))
+    tree = make_caterpillar((2, 0, 3))
     rebuilt = tree_from_edge_list(tree.edges(), root=tree.root)
     assert rebuilt.n == tree.n
     assert sorted(rebuilt.degree) == sorted(tree.degree)
@@ -156,7 +154,7 @@ def test_tree_from_edge_list_rejects_root_outside_vertices(root):
 
 
 def test_weighted_matrix_dense_is_symmetric():
-    tree = make_caterpillar(CaterpillarSpec((3, 1, 2)))
+    tree = make_caterpillar((3, 1, 2))
     m = a_alpha_weights(tree, 0.25).dense()
     assert (m == m.T).all()
     assert m.shape == (tree.n, tree.n)
@@ -164,6 +162,6 @@ def test_weighted_matrix_dense_is_symmetric():
 
 def test_path_and_star_radii():
     # K_{1,4} as a one-vertex-spine caterpillar: rho = sqrt(4) = 2 at alpha 0
-    star = make_caterpillar(CaterpillarSpec((4,)))
+    star = make_caterpillar((4,))
     res = spectral_radius(a_alpha_weights(star, 0.0), 1e-12)
     assert res.value == pytest.approx(2.0, abs=1e-11)
