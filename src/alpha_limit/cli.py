@@ -25,6 +25,9 @@ from .trees import (
 
 HEADER = "# alpha-limit v1"
 
+# Largest --start/--stop grid: about 15 s of `tables all` or `sweep`.
+MAX_GRID = 100_000
+
 # Regime labels for sweep output; downstream plotting depends on these.
 LABEL_SINGLE = "interval-I"  # one interval [tau0, inf)
 LABEL_GAP = "gap"  # tau1' < tau2 leaves an unverified gap
@@ -114,16 +117,6 @@ def cmd_tables(args) -> int:
 
 def cmd_shearer(args) -> int:
     a, lam, k = args.alpha, args.lam, args.k
-    if not (math.isfinite(a) and math.isfinite(lam)):
-        raise ValueError("alpha and lambda must be finite numbers")
-    regime = sh.classify_regime(a, lam)
-    if regime is None and not args.exploratory:
-        sys.stderr.write(
-            "refusing: lambda is outside every certified regime ("
-            + sh.uncovered_reason(a, lam)
-            + "); rerun with --exploratory\n"
-        )
-        return 2
     report = sh.convergence_report(
         a, lam, [k], exploratory=args.exploratory, tol=args.tol
     )
@@ -147,7 +140,7 @@ def cmd_shearer(args) -> int:
         return 0
     lines = [HEADER]
     lines.append(f"alpha={_fmt(a, d)} lambda={_fmt(lam, d)} k={k} regime={report.regime}")
-    lines.append("r: " + seq.compact_text())
+    lines.append("r: [" + ", ".join(str(rj) for rj in seq.r) + "]")
     lines.append("b: [" + ", ".join(_fmt(bj, d) for bj in seq.b) + "]")
     lines.append(f"rho(G_{k}) = {_fmt(report.rho_k[0], max(d, 16))}")
     lines.append(f"gap <= {_fmt(report.gap_k[0], d)}")
@@ -320,28 +313,41 @@ def cmd_spectral_radius(args) -> int:
 
 
 def _parse_grid(args) -> Optional[list[float]]:
+    """The alpha grid of `tables`/`sweep`, or None for the default rows.
+    Its size is settled before any point is made: a grid too large to
+    print in seconds, or one whose loop would never end, is refused."""
     if args.alphas:
         return [float(x) for x in args.alphas.split(",")]
-    if args.start is not None:
-        if args.stop is None:
-            raise ValueError("--start needs --stop")
-        if args.step is not None:
-            if not args.step > 0:
-                raise ValueError("--step must be positive")
-            vals = []
-            a = args.start
-            while a <= args.stop + 1e-15:
-                vals.append(round(a, 12))
-                a += args.step
-            return vals
+    if args.start is None:
+        return None
+    if args.stop is None:
+        raise ValueError("--start needs --stop")
+    if not all(map(math.isfinite, (args.start, args.stop, args.step or 0.0))):
+        raise ValueError("--start, --stop and --step must be finite")
+    if args.step is None:
         count = 10 if args.count is None else args.count
         if count < 1:
             raise ValueError("grid must be non-empty")
-        if count == 1:
-            return [args.start]
-        h = (args.stop - args.start) / (count - 1)
-        return [args.start + i * h for i in range(count)]
-    return None
+    elif not args.step > 0:
+        raise ValueError("--step must be positive")
+    else:
+        spacing = math.ulp(max(abs(args.start), abs(args.stop)))
+        if args.step < spacing:  # a smaller step may not advance the loop
+            raise ValueError(f"--step must be at least the float spacing {spacing}")
+        count = (args.stop - args.start) / args.step + 1
+    if count > MAX_GRID:
+        raise ValueError(f"grid must have at most {MAX_GRID} points")
+    if args.step is not None:
+        vals = []
+        a = args.start
+        while a <= args.stop + 1e-15:
+            vals.append(round(a, 12))
+            a += args.step
+        return vals
+    if count == 1:
+        return [args.start]
+    h = (args.stop - args.start) / (count - 1)
+    return [args.start + i * h for i in range(count)]
 
 
 def non_negative_int(text: str) -> int:

@@ -207,8 +207,8 @@ def spectral_radius(M: WeightedTreeMatrix, tol: float) -> SpectralRadiusResult:
     initial bracket is nudged outward so it stays valid when the bound is
     attained exactly (e.g. paths and stars).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
     if M.tree.n < 2:
         raise ValueError("need at least two vertices")
     lo, hi = _initial_bracket(M)

@@ -36,9 +36,6 @@ class ShearerSequence:
     def k(self) -> int:
         return len(self.r)
 
-    def compact_text(self) -> str:
-        return "[" + ", ".join(str(ri) for ri in self.r) + "]"
-
 
 @dataclass(frozen=True)
 class WindowReport:
@@ -255,17 +252,9 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
     with alpha below the degeneration point.
     """
     a = seq.params.alpha
-    lam = seq.params.lam
-    a_star, _ = at.alpha_star()
-    if a >= a_star:
-        raise ValueError(
-            f"pairing argument requires alpha < {a_star}; got alpha = {a}"
-        )
-    t1, t1p = at.tau1_interval(a)
-    if not t1 <= lam < t1p:
-        raise ValueError(
-            f"pairing argument requires lambda in [{t1}, {t1p}); got {lam}"
-        )
+    miss = _tau1_miss(a, seq.params.lam)
+    if miss is not None:
+        raise ValueError(f"pairing argument needs the tau1 regime: {miss}")
     bound = (1.0 - a) ** 2
     pairs: list[PairingEntry] = []
     runs = [run for run in zero_runs(seq.r) if run[1] < seq.k]
@@ -286,32 +275,30 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
     return PairingReport(ok=ok, bound=bound, pairs=tuple(pairs), runs=tuple(runs))
 
 
+def _tau2_miss(alpha: float, lam: float) -> Optional[str]:
+    """None if lambda >= tau2(alpha), else the clause saying why not."""
+    if not alpha < 0.5:
+        return "alpha >= 1/2: no tau2 threshold exists"
+    t2 = at.tau2(alpha)
+    return None if lam >= t2 else f"lambda < tau2({alpha}) = {t2}"
+
+
+def _tau1_miss(alpha: float, lam: float) -> Optional[str]:
+    """None if tau1 <= lambda < tau1' (alpha < alpha*), else why not."""
+    a_star, _ = at.alpha_star()
+    if not alpha < a_star:
+        return f"alpha >= alpha* = {a_star}: no tau1 interval"
+    t1, t1p = at.tau1_interval(alpha)
+    return None if t1 <= lam < t1p else f"lambda outside [tau1, tau1') = [{t1}, {t1p})"
+
+
 def classify_regime(alpha: float, lam: float) -> Optional[str]:
     """Which convergence guarantee covers (alpha, lam), if any."""
-    a_star, _ = at.alpha_star()
-    if alpha < 0.5 and lam >= at.tau2(alpha):
+    if _tau2_miss(alpha, lam) is None:
         return "above-tau2"
-    if alpha < a_star:
-        t1, t1p = at.tau1_interval(alpha)
-        if t1 <= lam < t1p:
-            return "tau1-interval"
+    if _tau1_miss(alpha, lam) is None:
+        return "tau1-interval"
     return None
-
-
-def uncovered_reason(alpha: float, lam: float) -> str:
-    """Why neither regime of `classify_regime` covers (alpha, lam): one
-    clause per threshold family."""
-    if alpha < 0.5:
-        msgs = [f"lambda < tau2({alpha}) = {at.tau2(alpha)}"]
-    else:
-        msgs = ["alpha >= 1/2: no tau2 threshold exists"]
-    a_star, _ = at.alpha_star()
-    if alpha < a_star:
-        t1, t1p = at.tau1_interval(alpha)
-        msgs.append(f"lambda outside [tau1, tau1') = [{t1}, {t1p})")
-    else:
-        msgs.append(f"alpha >= alpha* = {a_star}: no tau1 interval")
-    return "; ".join(msgs)
 
 
 def convergence_report(
@@ -326,7 +313,8 @@ def convergence_report(
     The reported gap is lam minus the certified lower bracket end of the
     bisection, so it is a strict upper bound on the true gap and stays
     positive even when the spectral radius agrees with lam to within the
-    bisection tolerance.
+    bisection tolerance.  A point outside both certified regimes raises
+    ValueError unless exploratory is set.
     """
     p = AlphaLambda(alpha, lam)
     regime = classify_regime(alpha, lam)
@@ -335,8 +323,8 @@ def convergence_report(
         if not exploratory:
             raise ValueError(
                 "no convergence guarantee covers this point ("
-                + uncovered_reason(alpha, lam)
-                + "); pass exploratory=True to probe it anyway"
+                f"{_tau2_miss(alpha, lam)}; {_tau1_miss(alpha, lam)}); rerun with"
+                " --exploratory (exploratory=True) to probe it anyway"
             )
         regime = "exploratory"
     ks = sorted(set(k_samples))

@@ -15,6 +15,9 @@ from alpha_limit import cli, shearer
 from alpha_limit.cli import main
 
 
+TREE12 = str(Path(__file__).parent / "golden" / "tree12.edges")
+
+
 def _run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["-o", str(out)])
@@ -230,6 +233,22 @@ def _assert_one_line_error(capsys, argv):
         (["tables", "tau0", "--start", "0.1", "--stop", "0.2", "--count", "0"],
          "grid must be non-empty"),
         (["sweep", "--count", "0"], "grid must be non-empty"),
+        # the input is validated before the regime is looked at
+        (["shearer", "-a", "1.5", "-l", "2.5", "-k", "7"],
+         "alpha-limit: error: alpha must lie in [0, 1)"),
+        (["shearer", "-a", "0.1", "-l", "1.5"], "alpha-limit: error: lambda must exceed 2"),
+        (["shearer", "-a", "-0.5", "-l", "2.5"],
+         "alpha-limit: error: alpha must lie in [0, 1)"),
+        (["shearer", "-a", "0.22", "-l", "2.4", "-k", "20"],
+         "alpha-limit: error: no convergence guarantee covers this point (lambda < tau2(0.22)"),
+        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "10", "--tol", "nan"],
+         "tol must be a positive finite number"),
+        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "10", "--tol", "inf"],
+         "tol must be a positive finite number"),
+        (["spectral-radius", "--edges", TREE12, "-a", "0.3", "--tol", "nan"],
+         "tol must be a positive finite number"),
+        (["spectral-radius", "--edges", TREE12, "-a", "0.3", "--tol", "inf"],
+         "tol must be a positive finite number"),
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, argv, message):
@@ -257,6 +276,48 @@ def test_non_positive_step_is_rejected_not_looped(step):
     assert p.returncode == 2
     assert p.stderr == "alpha-limit: error: --step must be positive\n"
     assert p.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--start", "0", "--stop", "inf", "--step", "0.1"],
+         "--start, --stop and --step must be finite"),
+        (["--start", "nan", "--stop", "1"], "--start, --stop and --step must be finite"),
+        (["--start", "0", "--stop", "1", "--count", "100000000"],
+         "grid must have at most 100000 points"),
+        (["--start", "0", "--stop", "10000", "--step", "0.1"],
+         "grid must have at most 100000 points"),
+        # 1e16 + 1 rounds back to 1e16, so the running value would never advance
+        (["--start", "1e16", "--stop", "10000000000000004", "--step", "1"],
+         "--step must be at least the float spacing 2.0"),
+    ],
+)
+def test_unbounded_grid_is_refused_before_it_is_made(grid, message):
+    # a child process, so that a grid that never ends fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(alpha_limit.__file__).parents[1]))
+    p = subprocess.run(
+        [sys.executable, "-m", "alpha_limit.cli", "tables", "tau0", *grid],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert p.returncode == 2
+    assert p.stderr == f"alpha-limit: error: {message}\n"
+    assert p.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "grid, alphas",
+    [
+        (["--start", "0.1", "--stop", "0.3", "--step", "0.1"], [0.1, 0.2, 0.3]),
+        (["--start", "0.1", "--stop", "0.3", "--count", "1"], [0.1]),
+    ],
+)
+def test_step_and_single_point_grids(tmp_path, grid, alphas):
+    code, text = _run_to_file(
+        tmp_path, "g.json", ["tables", "tau0", *grid, "--format", "json"]
+    )
+    assert code == 0
+    assert [row["alpha"] for row in json.loads(text)] == alphas
 
 
 def test_shearer_refusal_above_one_half_names_the_reason(capsys):

@@ -131,6 +131,12 @@ def test_spectral_radius_errors():
         spectral_radius(a_alpha_weights(make_path(1), 0.0), 1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_spectral_radius_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        spectral_radius(a_alpha_weights(make_path(3), 0.3), tol)
+
+
 def test_spectral_radius_bounds_hold_on_random_trees():
     rng = random.Random(23)
     for _ in range(20):
@@ -236,6 +242,15 @@ def test_count_matches_reference_and_eigvalsh(M, shifts):
         count = count_eigenvalues_greater(M, c)
         assert count == diagonalize(M, -c).n_pos
         assert np.sum(ev > c + EIG_BAND) <= count <= np.sum(ev > c - EIG_BAND)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(M=tree_matrices().filter(lambda M: M.alpha is None and M.tree.n >= 2))
+def test_spectral_radius_of_general_weights_matches_eigvalsh(M):
+    # without A_alpha provenance the bisection starts from Gershgorin row sums
+    top = np.linalg.eigvalsh(M.dense())[-1]
+    res = spectral_radius(M, 1e-10)
+    assert res.lower - EIG_BAND <= top <= res.upper + EIG_BAND
 
 
 def test_count_with_two_zero_pivot_leaf_groups():

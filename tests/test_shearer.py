@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from alpha_limit.alpha_theory import AlphaLambda, tau1_interval, tau2
+from alpha_limit.alpha_theory import AlphaLambda, alpha_star, tau1_interval, tau2
 from alpha_limit.diagonalize import diagonalize, spectral_radius
 from alpha_limit.shearer import (
     _spine,
@@ -267,6 +268,48 @@ def test_classify_regime():
     assert classify_regime(0.6, 5.0) is None  # no thresholds defined
 
 
+def _regime_by_hand(alpha, lam):
+    if alpha < 0.5 and lam >= tau2(alpha):
+        return "above-tau2"
+    if alpha < alpha_star()[0]:
+        t1, t1p = tau1_interval(alpha)
+        if t1 <= lam < t1p:
+            return "tau1-interval"
+    return None
+
+
+def test_classify_regime_matches_the_thresholds_on_a_grid():
+    rng = random.Random(2024)
+    points = [(rng.uniform(0.0, 0.6), rng.uniform(2.0, 4.0)) for _ in range(2000)]
+    for _ in range(200):
+        a = rng.uniform(0.0, 0.5)
+        points.append((a, tau2(a)))  # on tau2: covered
+        a = rng.uniform(1e-6, alpha_star()[0])
+        t1, t1p = tau1_interval(a)
+        points += [(a, t1), (a, t1p)]  # tau1 covered, tau1' not
+    points += [(0.0, 2.5), (0.5, 3.0), (alpha_star()[0], 2.1)]
+    regimes = [classify_regime(a, lam) for a, lam in points if lam > 2.0]
+    assert regimes == [_regime_by_hand(a, lam) for a, lam in points if lam > 2.0]
+    assert set(regimes) == {"above-tau2", "tau1-interval", None}
+
+
+@pytest.mark.parametrize(
+    "alpha, lam, clauses",
+    [
+        (0.22, 2.4, [f"lambda < tau2(0.22) = {tau2(0.22)}",
+                     "lambda outside [tau1, tau1') = ["]),
+        (0.6, 5.0, ["alpha >= 1/2: no tau2 threshold exists",
+                    f"alpha >= alpha* = {alpha_star()[0]}: no tau1 interval"]),
+    ],
+)
+def test_refusal_names_each_threshold_family(alpha, lam, clauses):
+    with pytest.raises(ValueError) as exc:
+        convergence_report(alpha, lam, [10])
+    msg = str(exc.value)
+    assert all(clause in msg for clause in clauses)
+    assert msg.endswith("rerun with --exploratory (exploratory=True) to probe it anyway")
+
+
 def test_convergence_report_refusal_and_exploratory():
     with pytest.raises(ValueError, match="exploratory"):
         convergence_report(0.22, 2.4, [10])
@@ -298,7 +341,7 @@ def test_convergence_report_fields_and_determinism():
 
 def test_sequence_exports():
     seq = build_shearer(0.1, 2.44, 6)
-    assert seq.compact_text() == "[" + ", ".join(map(str, seq.r)) + "]"
+    assert seq.k == len(seq.r) == len(seq.b) == 6
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
