@@ -65,6 +65,8 @@ class AlphaLambda:
             raise ValueError("lambda must be a finite number")
         if self.lam <= 2.0:
             raise ValueError("lambda must exceed 2")
+        if self.lam >= 2.0**512:  # where (2*alpha - lam)**2 in _core overflows
+            raise ValueError("lambda must be below 2**512 (about 1.34e154)")
         disc, _, theta, theta_prime, delta = _core(self.lam, self.alpha)
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "theta", theta)

@@ -315,9 +315,12 @@ def cmd_spectral_radius(args) -> int:
 def _parse_grid(args) -> Optional[list[float]]:
     """The alpha grid of `tables`/`sweep`, or None for the default rows.
     Its size is settled before any point is made: a grid too large to
-    print in seconds, or one whose loop would never end, is refused."""
+    print in seconds, or one whose points would not advance, is refused."""
     if args.alphas:
-        return [float(x) for x in args.alphas.split(",")]
+        vals = [float(x) for x in args.alphas.split(",")]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("--alphas values must be finite")
+        return vals
     if args.start is None:
         return None
     if args.stop is None:
@@ -326,27 +329,22 @@ def _parse_grid(args) -> Optional[list[float]]:
         raise ValueError("--start, --stop and --step must be finite")
     if args.step is None:
         count = 10 if args.count is None else args.count
-        if count < 1:
-            raise ValueError("grid must be non-empty")
     elif not args.step > 0:
         raise ValueError("--step must be positive")
     else:
         spacing = math.ulp(max(abs(args.start), abs(args.stop)))
-        if args.step < spacing:  # a smaller step may not advance the loop
+        if args.step < spacing:  # a smaller step may not advance the grid
             raise ValueError(f"--step must be at least the float spacing {spacing}")
-        count = (args.stop - args.start) / args.step + 1
+        # a point at most 1e-9 of a step past the stop is still made:
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999998
+        count = math.floor((args.stop - args.start) / args.step + 1e-9) + 1
+    if count < 1:
+        raise ValueError("grid must be non-empty")
     if count > MAX_GRID:
         raise ValueError(f"grid must have at most {MAX_GRID} points")
     if args.step is not None:
-        vals = []
-        a = args.start
-        while a <= args.stop + 1e-15:
-            vals.append(round(a, 12))
-            a += args.step
-        return vals
-    if count == 1:
-        return [args.start]
-    h = (args.stop - args.start) / (count - 1)
+        return [round(args.start + i * args.step, 12) for i in range(count)]
+    h = (args.stop - args.start) / max(count - 1, 1)
     return [args.start + i * h for i in range(count)]
 
 

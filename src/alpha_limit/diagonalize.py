@@ -1,7 +1,7 @@
 """Bottom-up congruence diagonalization of tree matrices.
 
-Given a weighted tree matrix M and a shift x, produces a diagonal matrix
-congruent to M + xI; the signs of the diagonal locate eigenvalues of M
+Given a tree matrix M = A_alpha(T) and a shift x, produces a diagonal
+matrix congruent to M + xI; the signs of the diagonal locate eigenvalues of M
 relative to -x (Sylvester's law of inertia).
 """
 from __future__ import annotations
@@ -81,84 +81,77 @@ def diagonalize(M: WeightedTreeMatrix, x: float) -> DiagResult:
 
 @dataclass(frozen=True)
 class InertiaPlan:
-    """A tree matrix compiled once for repeated inertia counts.
+    """An A_alpha tree matrix compiled once for repeated inertia counts.
 
     The bottom-up pass of `diagonalize`, in flat arrays: the vertices that
     have children, plus the root, listed bottom-up as plan indices 0..m-1,
-    with their diagonal entries, the plan index of their parent (m for the
-    root, a scratch slot) and the squared weight of the edge to it.  Leaf
-    children are folded: leaves under one parent that share a diagonal
-    entry and a squared edge weight share their pivot at every shift, so
-    each such group is one count-weighted term.
+    with their diagonal entries alpha*deg and the plan index of their
+    parent (m for the root, a scratch slot).  Every edge has the squared
+    weight w2 = (1-alpha)^2 and every leaf the diagonal entry alpha, so
+    all leaves share one pivot and are folded into a count per parent.
     """
 
+    alpha: float
+    w2: float
     diag: tuple[float, ...]
     parent: tuple[int, ...]
-    w2: tuple[float, ...]
-    # (leaf diagonal, squared leaf edge weight, parent plan indices, leaf
-    # count under each parent, total leaf count) per distinct leaf pair
-    leaf_groups: tuple[tuple[float, float, tuple[int, ...], tuple[int, ...], int], ...]
+    leaf_parents: tuple[int, ...]  # plan indices of vertices with leaves
+    leaf_counts: tuple[int, ...]  # and their leaf counts
 
     @classmethod
     def compile(cls, M: WeightedTreeMatrix) -> "InertiaPlan":
-        tree = M.tree
-        kids = tree.children
+        tree, alpha = M.tree, M.alpha
+        kids, degree = tree.children, tree.degree
         inner = [v for v in tree.order if kids[v] or tree.parent[v] is None]
         index = {v: i for i, v in enumerate(inner)}
-        groups: dict[tuple[float, float], dict[int, int]] = {}
-        for i, v in enumerate(inner):
-            for c in kids[v]:
-                if not kids[c]:
-                    counts = groups.setdefault((M.diag[c], M.edge_w[c] ** 2), {})
-                    counts[i] = counts.get(i, 0) + 1
+        leaves = [sum(1 for c in kids[v] if not kids[c]) for v in inner]
         return cls(
-            diag=tuple(M.diag[v] for v in inner),
+            alpha=alpha,
+            w2=(1.0 - alpha) ** 2,
+            diag=tuple(alpha * degree[v] for v in inner),
             parent=tuple(
                 len(inner) if tree.parent[v] is None else index[tree.parent[v]]
                 for v in inner
             ),
-            w2=tuple(M.edge_w[v] ** 2 for v in inner),
-            leaf_groups=tuple(
-                (dl, wl, tuple(counts), tuple(counts.values()), sum(counts.values()))
-                for (dl, wl), counts in groups.items()
-            ),
+            leaf_parents=tuple(i for i, m in enumerate(leaves) if m),
+            leaf_counts=tuple(m for m in leaves if m),
         )
 
     def count_greater(self, c: float) -> int:
         """Number of positive pivots of M - cI: `diagonalize(M, -c).n_pos`
         by the same recurrence, with a vertex's terms summed in another
-        order (a folded group adds m * w^2/d at once).
+        order (its m leaves add m * w2/d at once, first).
 
         Pivots are pushed up as they are found: acc[p] collects the terms
-        w^2/d of p's children.  A zero pivot sends its parent p into the
+        w2/d of p's children.  A zero pivot sends its parent p into the
         zero branch of `diagonalize`: one zero child ends at the pivot 2
         (one positive count per such parent, whichever child it is), p at
-        -w^2/2 (never positive, marked by acc[p] = NaN), and p is detached
+        -w2/2 (never positive, marked by acc[p] = NaN), and p is detached
         (its push is redirected to the scratch slot).  A NaN pivot falls
         through to the push and spreads to its parent, as in the reference.
         """
         x = -c
         tol = ZERO_TOL
         nan = math.nan
+        w = self.w2
         top = len(self.diag)
         acc = [0.0] * (top + 1)
         parent = list(self.parent)
         fired: set[int] = set()
         pos = 0
-        for dl, wl, parents, counts, total in self.leaf_groups:
-            t = dl + x
-            if t > tol:
-                pos += total
-            elif t >= -tol:
-                fired.update(parents)
-                for p in parents:
-                    parent[p] = top
-                    acc[p] = nan
-                continue
-            q = wl / t
-            for p, m in zip(parents, counts):
+        t = self.alpha + x  # the pivot of every leaf
+        if t > tol:
+            pos += sum(self.leaf_counts)
+        if -tol <= t <= tol:
+            fired.update(self.leaf_parents)
+            for p in self.leaf_parents:
+                parent[p] = top
+                acc[p] = nan
+        else:  # a positive leaf pivot is counted and pushed
+            q = w / t
+            for p, m in zip(self.leaf_parents, self.leaf_counts):
                 acc[p] += m * q
-        for b, s, p, w in zip(self.diag, acc, parent, self.w2):
+        for b, s, p in zip(self.diag, acc, parent):
             d = (b + x) - s
             if d > tol:
                 pos += 1
@@ -182,22 +175,15 @@ def count_eigenvalues_greater(M: WeightedTreeMatrix, c: float) -> int:
 
 
 def _initial_bracket(M: WeightedTreeMatrix) -> tuple[float, float]:
-    tree = M.tree
-    delta = max(tree.degree)
-    if M.alpha is not None:
-        a = M.alpha
-        lo = 0.5 * (
-            a * (delta + 1)
-            + math.sqrt(a * a * (delta + 1) ** 2 + 4 * delta * (1 - 2 * a))
-        )
-        return lo, float(delta)
-    # no A_alpha provenance: Gershgorin row sums
-    row = [abs(M.diag[v]) for v in range(tree.n)]
-    for v, p in tree.edges():
-        row[v] += abs(M.edge_w[v])
-        row[p] += abs(M.edge_w[v])
-    r = max(row)
-    return -r, r
+    """Bounds on rho(A_alpha(T)) for a tree of maximum degree delta: the
+    star K_{1,delta} it contains from below, delta from above."""
+    a = M.alpha
+    delta = max(M.tree.degree)
+    lo = 0.5 * (
+        a * (delta + 1)
+        + math.sqrt(a * a * (delta + 1) ** 2 + 4 * delta * (1 - 2 * a))
+    )
+    return lo, float(delta)
 
 
 def spectral_radius(M: WeightedTreeMatrix, tol: float) -> SpectralRadiusResult:

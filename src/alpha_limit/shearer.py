@@ -23,6 +23,13 @@ EPS_BISECT_TOL = 1e-13
 
 _WINDOW_SLACK = 1e-9
 
+# Largest G_k that convergence_report builds, by spine length and by
+# vertex count (Python 3.11, one core): k = MAX_K at (0.1, 2.44), 181 893
+# vertices, takes 2.2 s; a leafy G_k of MAX_VERTICES vertices (alpha = 0,
+# lambda = 60, k = 900) takes 2.1 s and 185 MB.
+MAX_K = 100_000
+MAX_VERTICES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ShearerSequence:
@@ -314,9 +321,13 @@ def convergence_report(
     bisection, so it is a strict upper bound on the true gap and stays
     positive even when the spectral radius agrees with lam to within the
     bisection tolerance.  A point outside both certified regimes raises
-    ValueError unless exploratory is set.
+    ValueError unless exploratory is set, and so do a k above MAX_K and a
+    G_k of more than MAX_VERTICES vertices, before any tree is built.
     """
     p = AlphaLambda(alpha, lam)
+    ks = sorted(set(k_samples))
+    if ks and ks[-1] > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}")
     regime = classify_regime(alpha, lam)
     boundary = alpha < 0.5 and lam == at.tau2(alpha)
     if regime is None:
@@ -327,8 +338,13 @@ def convergence_report(
                 " --exploratory (exploratory=True) to probe it anyway"
             )
         regime = "exploratory"
-    ks = sorted(set(k_samples))
     seqs = [build_shearer(alpha, lam, k) for k in ks]
+    for seq in seqs:
+        n = seq.k + sum(seq.r)
+        if n > MAX_VERTICES:
+            raise ValueError(
+                f"G_{seq.k} would have {n} vertices; at most {MAX_VERTICES} are allowed"
+            )
     rho_l, gap_l, sig_l, qk_l, ck_l = [], [], [], [], []
     c_const = p.delta - p.theta_prime
     for k, seq in zip(ks, seqs):

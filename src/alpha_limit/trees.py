@@ -64,22 +64,25 @@ class RootedTree:
 
 @dataclass(frozen=True)
 class WeightedTreeMatrix:
-    """Symmetric tree matrix: per-vertex diagonal, per-edge off-diagonal.
-
-    Edge weights are indexed by the child endpoint (the root entry is
-    unused and stored as 0.0).  For A_alpha: diag(v) = alpha*deg(v) and
-    every edge weight is 1 - alpha; `alpha` records that provenance.
-    """
+    """A_alpha(T) = alpha*D(T) + (1-alpha)*A(T) of a rooted tree T."""
 
     tree: RootedTree
-    diag: tuple[float, ...]
-    edge_w: tuple[float, ...]
-    alpha: Optional[float] = None
+    alpha: float
 
     def __post_init__(self):
-        n = self.tree.n
-        if len(self.diag) != n or len(self.edge_w) != n:
-            raise ValueError("weight arrays must match vertex count")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+
+    @cached_property
+    def diag(self) -> tuple[float, ...]:
+        """Diagonal entries alpha*deg(v)."""
+        return tuple(self.alpha * d for d in self.tree.degree)
+
+    @cached_property
+    def edge_w(self) -> tuple[float, ...]:
+        """Entry 1 - alpha of the edge to each vertex's parent (root: 0.0)."""
+        w = 1.0 - self.alpha
+        return tuple(0.0 if p is None else w for p in self.tree.parent)
 
     @cached_property
     def inertia_plan(self):
@@ -92,9 +95,7 @@ class WeightedTreeMatrix:
         """Assemble the dense symmetric matrix (numpy array)."""
         import numpy as np
 
-        a = np.zeros((self.tree.n, self.tree.n))
-        for v in range(self.tree.n):
-            a[v, v] = self.diag[v]
+        a = np.diag(np.array(self.diag, dtype=float))
         for v, p in self.tree.edges():
             a[v, p] = a[p, v] = self.edge_w[v]
         return a
@@ -160,14 +161,8 @@ def make_path(n: int) -> RootedTree:
 
 
 def a_alpha_weights(tree: RootedTree, alpha: float) -> WeightedTreeMatrix:
-    """A_alpha(G) = alpha*D(G) + (1-alpha)*A(G) as tree weights."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    diag = tuple(alpha * d for d in tree.degree)
-    edge_w = tuple(
-        0.0 if tree.parent[v] is None else 1.0 - alpha for v in range(tree.n)
-    )
-    return WeightedTreeMatrix(tree=tree, diag=diag, edge_w=edge_w, alpha=alpha)
+    """A_alpha(G) = alpha*D(G) + (1-alpha)*A(G) of a tree."""
+    return WeightedTreeMatrix(tree, alpha)
 
 
 def tree_from_edge_list(pairs: Sequence[tuple[int, int]], root: Optional[int] = None) -> RootedTree:

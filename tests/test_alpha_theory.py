@@ -35,6 +35,12 @@ def test_alpha_lambda_validation():
         AlphaLambda(-0.1, 3.0)
     with pytest.raises(ValueError):
         AlphaLambda(0.1, 2.0)
+    # (2*alpha - lambda)**2 overflows from 2**512 on; below it lambda is
+    # accepted as before
+    assert math.isfinite(AlphaLambda(0.1, math.nextafter(2.0**512, 0.0)).theta)
+    for lam in (2.0**512, 1e300):
+        with pytest.raises(ValueError, match=r"lambda must be below 2\*\*512"):
+            AlphaLambda(0.1, lam)
 
 
 def test_fixed_point_algebra():

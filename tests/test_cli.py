@@ -249,6 +249,17 @@ def _assert_one_line_error(capsys, argv):
          "tol must be a positive finite number"),
         (["spectral-radius", "--edges", TREE12, "-a", "0.3", "--tol", "inf"],
          "tol must be a positive finite number"),
+        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "100001"],
+         "alpha-limit: error: k must be at most 100000\n"),
+        (["shearer", "-a", "0", "-l", "1e5", "-k", "3"],
+         "alpha-limit: error: G_3 would have 19114929324 vertices; at most 1000000"),
+        (["shearer", "-a", "0.1", "-l", "1e300", "-k", "3"],
+         "alpha-limit: error: lambda must be below 2**512"),
+        (["sweep", "--alphas", "nan,inf,0.1"],
+         "alpha-limit: error: --alphas values must be finite\n"),
+        (["tables", "tau0", "--alphas", "0.1,-inf"], "--alphas values must be finite"),
+        (["tables", "tau0", "--start", "0.3", "--stop", "0.1", "--step", "0.1"],
+         "grid must be non-empty"),
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, argv, message):
@@ -310,6 +321,9 @@ def test_unbounded_grid_is_refused_before_it_is_made(grid, message):
     [
         (["--start", "0.1", "--stop", "0.3", "--step", "0.1"], [0.1, 0.2, 0.3]),
         (["--start", "0.1", "--stop", "0.3", "--count", "1"], [0.1]),
+        # repeated addition of 0.1 would stop at 2.7
+        (["--start", "0", "--stop", "2.8", "--step", "0.1"],
+         [i / 10 for i in range(29)]),
     ],
 )
 def test_step_and_single_point_grids(tmp_path, grid, alphas):

@@ -19,7 +19,6 @@ from alpha_limit.diagonalize import (
 from alpha_limit.shearer import build_shearer
 from alpha_limit.trees import (
     RootedTree,
-    WeightedTreeMatrix,
     a_alpha_weights,
     make_caterpillar,
     make_path,
@@ -213,25 +212,18 @@ EIG_BAND = 1e-8
 
 @st.composite
 def tree_matrices(draw):
-    """A random tree on up to 500 vertices, A_alpha or generally weighted.
+    """A_alpha of a random tree on up to 500 vertices.
 
     `hubs` bounds the vertices a new vertex may attach to, so small values
-    give bushy trees whose hubs carry many leaves; general weights draw
-    leaf diagonals and edge weights from small integer-like sets, so the
-    leaves under one parent fall into several groups."""
+    give bushy trees whose hubs carry many leaves.  alpha = 0 and 1/2 give
+    exact zero pivots at the shifts in EXACT_SHIFTS."""
     n = draw(st.integers(1, 500))
     hubs = draw(st.integers(1, n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     parent = [None] + [rng.randrange(min(v, hubs)) for v in range(1, n)]
     tree = RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
-    if draw(st.booleans()):
-        alpha = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))
-        return a_alpha_weights(tree, alpha)
-    diag = tuple(rng.choice([0.0, 0.0, 1.0, -1.0, 0.5]) for _ in range(n))
-    edge_w = tuple(
-        0.0 if p is None else rng.choice([1.0, 1.0, 2.0, -1.0, 0.5]) for p in parent
-    )
-    return WeightedTreeMatrix(tree=tree, diag=diag, edge_w=edge_w)
+    alpha = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))
+    return a_alpha_weights(tree, alpha)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -244,28 +236,16 @@ def test_count_matches_reference_and_eigvalsh(M, shifts):
         assert np.sum(ev > c + EIG_BAND) <= count <= np.sum(ev > c - EIG_BAND)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(M=tree_matrices().filter(lambda M: M.alpha is None and M.tree.n >= 2))
-def test_spectral_radius_of_general_weights_matches_eigvalsh(M):
-    # without A_alpha provenance the bisection starts from Gershgorin row sums
-    top = np.linalg.eigvalsh(M.dense())[-1]
-    res = spectral_radius(M, 1e-10)
-    assert res.lower - EIG_BAND <= top <= res.upper + EIG_BAND
-
-
-def test_count_with_two_zero_pivot_leaf_groups():
-    # hub 1 under the root 0 carries two leaf groups that differ only in
-    # their edge weight (2, 3: weight 1; 4, 5, 6: weight 2); at c = 0 both
-    # groups have zero pivots, so the hub takes the zero branch once and is
-    # detached from the root, which also has a zero-pivot leaf of its own
+def test_count_with_zero_pivot_leaves_under_hub_and_root():
+    # A_0: hub 1 under the root 0 carries leaves 2..6, and the root has a
+    # leaf 7 of its own.  At c = 0 every leaf pivot is zero, so the hub
+    # takes the zero branch and is detached from the root, which then
+    # takes the zero branch through its own leaf
     parent = (None, 0, 1, 1, 1, 1, 1, 0)
     tree = RootedTree(n=8, parent=parent, order=(2, 3, 4, 5, 6, 1, 7, 0))
-    M = WeightedTreeMatrix(
-        tree=tree,
-        diag=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        edge_w=(0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 1.0),
-    )
-    assert len(M.inertia_plan.leaf_groups) == 2
+    M = a_alpha_weights(tree, 0.0)
+    plan = M.inertia_plan
+    assert (plan.leaf_parents, plan.leaf_counts) == ((0, 1), (5, 1))
     ref = diagonalize(M, 0.0)
     assert ref.removed_edges == ((1, 0),)
     ev = np.linalg.eigvalsh(M.dense())

@@ -8,9 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from alpha_limit import shearer
 from alpha_limit.alpha_theory import AlphaLambda, alpha_star, tau1_interval, tau2
 from alpha_limit.diagonalize import diagonalize, spectral_radius
 from alpha_limit.shearer import (
+    MAX_K,
+    MAX_VERTICES,
     _spine,
     build_shearer,
     classify_regime,
@@ -354,3 +357,33 @@ def test_non_finite_alpha_is_rejected_before_the_regime_gate(alpha):
 def test_non_finite_lambda_is_rejected(lam):
     with pytest.raises(ValueError, match="finite"):
         convergence_report(0.1, lam, [10], exploratory=True)
+
+
+@pytest.mark.parametrize(
+    "alpha, lam, ks, message, built",
+    [
+        (0.1, 2.44, [10, MAX_K + 1], f"k must be at most {MAX_K}", 0),
+        # r_1 grows like lambda^2 at alpha = 0: r = (999998, 499998, 499996)
+        (0.0, 1000.0, [3], f"G_3 would have 1999995 vertices; at most {MAX_VERTICES}", 1),
+    ],
+)
+def test_size_gate_refuses_before_any_tree_is_built(
+    monkeypatch, alpha, lam, ks, message, built
+):
+    calls = {"build_shearer": 0, "make_caterpillar": 0}
+
+    def counting(name):
+        fn = getattr(shearer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(shearer, name, counting(name))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        convergence_report(alpha, lam, ks)
+    assert calls == {"build_shearer": built, "make_caterpillar": 0}
+

@@ -9,6 +9,7 @@ import pytest
 from alpha_limit.diagonalize import dense_spectrum_oracle, spectral_radius
 from alpha_limit.trees import (
     RootedTree,
+    WeightedTreeMatrix,
     a_alpha_weights,
     make_caterpillar,
     make_path,
@@ -121,6 +122,9 @@ def test_a_alpha_weights_domain_error():
         a_alpha_weights(tree, -0.01)
     with pytest.raises(ValueError):
         a_alpha_weights(tree, 1.01)
+    for alpha in (1.5, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            WeightedTreeMatrix(tree, alpha)
 
 
 def test_rooted_tree_validation():
