@@ -7,7 +7,9 @@ relative to -x (Sylvester's law of inertia).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Optional
 
 from .trees import WeightedTreeMatrix
 
@@ -38,6 +40,7 @@ class SpectralRadiusResult:
     lower: float
     upper: float
     iterations: int
+    passes: int  # inertia passes run, the probes of a hint included
 
 
 def diagonalize(M: WeightedTreeMatrix, x: float) -> DiagResult:
@@ -117,10 +120,13 @@ class InertiaPlan:
             leaf_counts=tuple(m for m in leaves if m),
         )
 
-    def count_greater(self, c: float) -> int:
+    def count_greater(self, c: float, at_most: Optional[int] = None) -> int:
         """Number of positive pivots of M - cI: `diagonalize(M, -c).n_pos`
         by the same recurrence, with a vertex's terms summed in another
-        order (its m leaves add m * w2/d at once, first).
+        order (its m leaves add m * w2/d at once, first).  With at_most
+        given, the count is min(that number, at_most): the running count
+        pos + len(fired) never decreases, so the pass returns as soon as
+        it reaches the cap.
 
         Pivots are pushed up as they are found: acc[p] collects the terms
         w2/d of p's children.  A zero pivot sends its parent p into the
@@ -130,6 +136,7 @@ class InertiaPlan:
         (its push is redirected to the scratch slot).  A NaN pivot falls
         through to the push and spreads to its parent, as in the reference.
         """
+        cap = sys.maxsize if at_most is None else at_most
         x = -c
         tol = ZERO_TOL
         nan = math.nan
@@ -151,27 +158,85 @@ class InertiaPlan:
             q = w / t
             for p, m in zip(self.leaf_parents, self.leaf_counts):
                 acc[p] += m * q
+        if pos + len(fired) >= cap:
+            return cap
         for b, s, p in zip(self.diag, acc, parent):
             d = (b + x) - s
             if d > tol:
                 pos += 1
+                if pos + len(fired) >= cap:
+                    return cap
             elif d >= -tol:
                 if p < top:
                     fired.add(p)
                     parent[p] = top
                     acc[p] = nan
+                    if pos + len(fired) >= cap:
+                        return cap
                 continue
             acc[p] += w / d
         return pos + len(fired)
 
 
-def count_eigenvalues_greater(M: WeightedTreeMatrix, c: float) -> int:
-    """Number of eigenvalues of M strictly greater than c.
+def count_eigenvalues_greater(
+    M: WeightedTreeMatrix, c: float, at_most: Optional[int] = None
+) -> int:
+    """Number of eigenvalues of M strictly greater than c, or at most
+    at_most of them.
 
     Runs on the matrix's compiled `inertia_plan`; `diagonalize` is the
     per-vertex reference with the same counts.
     """
-    return M.inertia_plan.count_greater(c)
+    return M.inertia_plan.count_greater(c, at_most)
+
+
+def count_margin(M: WeightedTreeMatrix) -> float:
+    """eta = ZERO_TOL + 4 eps (Delta+3)^2, eps = 2^-52 and Delta the maximum
+    degree: for every shift |c| <= Delta + 1 the float count satisfies
+
+        exact(c + eta) <= count_eigenvalues_greater(M, c) <= exact(c - eta),
+
+    where exact(c) counts the eigenvalues of M = A_alpha(T) above c in
+    exact arithmetic.
+
+    Derivation (the Sturm-count argument of Kahan, and Demmel, Dhillon and
+    Ren, ETNA 3, 1995, carried over to trees).  Let u = eps/2 be the unit
+    roundoff and g_k = k u / (1 - k u).  Every float operation is exact
+    up to a factor 1 + delta with |delta| <= u.  The plan computes each
+    pivot as d_v = fl(fl(b_v - c) - s_v), where b_v = fl(alpha deg v) and
+    s_v is the float sum of at most deg v terms fl(w2 / d_u) over the
+    children u (the m leaves of v enter as one term fl(m fl(w2 / t))), and
+    w2 = fl(fl(1 - alpha)^2).  So
+
+        d_v = (alpha deg v + e_v - c) - sum_u (1 - alpha)^2 (1 + th_u) / d_u
+
+    holds exactly with |th_u| <= g_(Delta+5) (three roundings in w2, the
+    division, the leaf multiply, at most Delta - 1 additions and the final
+    subtraction) and |e_v| <= u alpha Delta + g_2 (2 Delta + 1) for
+    |c| <= Delta + 1.  Each edge has one child, so each th_u belongs to one
+    edge: the float pivots are the exact pivots of M~ - cI, where M~ has
+    the edge entries (1 - alpha) sqrt(1 + th_u) and the diagonal entries
+    alpha deg v + e_v.  The sign test and the zero branch treat every
+    |d_v| <= ZERO_TOL as an exact zero; moving d_v to 0 is one more
+    diagonal change of at most ZERO_TOL, after which the zero branch is
+    exact congruence.  So the float count is exactly the count of M~ at c,
+    and by the row-sum bound on the symmetric perturbation (each vertex
+    has at most Delta edges, each entry moves by at most |th_u|)
+
+        ||M~ - M|| <= ZERO_TOL + u alpha Delta + g_2 (2 Delta + 1)
+                      + Delta g_(Delta+5)
+                   <= ZERO_TOL + 1.01 eps (Delta^2/2 + 5 Delta + 1)
+                   <= ZERO_TOL + eps (Delta + 3)^2,
+
+    using g_k <= 1.01 k u, true for every k u <= 0.01.
+
+    Weyl's inequality moves every eigenvalue by at most that norm, which
+    gives the two inequalities.  eta takes four times the rounding part,
+    which leaves room for the roundings of the shifts that the bisection
+    builds from eta.
+    """
+    delta = max(M.tree.degree)
+    return ZERO_TOL + 4.0 * sys.float_info.epsilon * (delta + 3) ** 2
 
 
 def _initial_bracket(M: WeightedTreeMatrix) -> tuple[float, float]:
@@ -186,12 +251,27 @@ def _initial_bracket(M: WeightedTreeMatrix) -> tuple[float, float]:
     return lo, float(delta)
 
 
-def spectral_radius(M: WeightedTreeMatrix, tol: float) -> SpectralRadiusResult:
+def spectral_radius(
+    M: WeightedTreeMatrix, tol: float, above: Optional[float] = None
+) -> SpectralRadiusResult:
     """Largest eigenvalue of M via bisection on the inertia count.
 
-    c is below the spectral radius iff some eigenvalue exceeds c.  The
-    initial bracket is nudged outward so it stays valid when the bound is
-    attained exactly (e.g. paths and stars).
+    c is below the spectral radius iff some eigenvalue exceeds c, so each
+    step asks for at most one count.  The initial bracket is nudged
+    outward so it stays valid when the bound is attained exactly (e.g.
+    paths and stars).
+
+    `above` is a hint that the radius lies at or just below it, and two
+    counts check it, with eta = `count_margin(M)`.  A count of 0 at
+    above - 2 eta means rho <= above - eta, so the float count at every
+    midpoint >= above is 0 as well.  Otherwise rho > above - 3 eta, so the
+    float count at every midpoint <= above - 4 eta is at least 1, and a
+    count of 0 at above + 2 eta means rho <= above + 3 eta, so the float
+    count at every midpoint >= above + 4 eta is 0.  The steps at those
+    midpoints make no pass.  Every midpoint and decision is the one the
+    plain bisection makes, so the result does not depend on the hint; a
+    wrong hint costs at most the two probes, and one outside the initial
+    bracket (where `count_margin` is not proven) is not probed.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
@@ -200,18 +280,36 @@ def spectral_radius(M: WeightedTreeMatrix, tol: float) -> SpectralRadiusResult:
     lo, hi = _initial_bracket(M)
     lo -= 1e-9
     hi += 1e-9
-    iters = 0
+    iters = passes = 0
+    count_from = -math.inf  # midpoints up to here have a count >= 1
+    skip_from = math.inf  # midpoints from here on have the count 0
+    if above is not None and lo < above < hi:
+        eta = count_margin(M)
+        passes += 1
+        if count_eigenvalues_greater(M, above - 2.0 * eta, at_most=1) == 0:
+            skip_from = above
+        else:
+            count_from = above - 4.0 * eta
+            passes += 1
+            if count_eigenvalues_greater(M, above + 2.0 * eta, at_most=1) == 0:
+                skip_from = above + 4.0 * eta
     while hi - lo > tol and iters < MAX_BISECT_ITER:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if count_eigenvalues_greater(M, mid) >= 1:
-            lo = mid
-        else:
-            hi = mid
         iters += 1
+        if mid <= count_from:
+            lo = mid
+        elif mid >= skip_from:
+            hi = mid
+        else:
+            passes += 1
+            if count_eigenvalues_greater(M, mid, at_most=1) >= 1:
+                lo = mid
+            else:
+                hi = mid
     return SpectralRadiusResult(
-        value=0.5 * (lo + hi), lower=lo, upper=hi, iterations=iters
+        value=0.5 * (lo + hi), lower=lo, upper=hi, iterations=iters, passes=passes
     )
 
 

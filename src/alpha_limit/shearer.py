@@ -99,23 +99,33 @@ def _spine(
     r_j is the largest count that keeps b_j below tp.  The float
     operations and their order are pinned bit for bit by the golden spine
     values in the tests.
+
+    In exact arithmetic every greedy b_j < tp < 0 and every r_j >= 0.  At
+    large lam, cancellation in b_j can break that in floats; a b_j that
+    rounds to 0 or a negative r_j raises ValueError instead.
     """
     one_a2 = (1.0 - alpha) ** 2
     d = alpha + one_a2 / (lam - alpha)
     bj = None
-    for j in range(1, k + 1):
-        ph = alpha - lam if j == 1 else 2.0 * alpha - lam - one_a2 / bj
-        extra = alpha if j == k else 0.0
-        if r is None:
-            rj = math.floor((tp - ph + extra) / d + FLOOR_NUDGE)
-            if rj < 0:
-                raise RuntimeError(
-                    f"negative pendant count r_{j} = {rj}; recurrence invariant violated"
-                )
-        else:
-            rj = r[j - 1]
-        bj = ph - extra + rj * d
-        yield rj, bj
+    try:
+        for j in range(1, k + 1):
+            ph = alpha - lam if j == 1 else 2.0 * alpha - lam - one_a2 / bj
+            extra = alpha if j == k else 0.0
+            if r is None:
+                rj = math.floor((tp - ph + extra) / d + FLOOR_NUDGE)
+                if rj < 0:
+                    raise ValueError(
+                        "float breakdown in the spine recurrence: negative"
+                        f" pendant count r_{j} = {rj}"
+                    )
+            else:
+                rj = r[j - 1]
+            bj = ph - extra + rj * d
+            yield rj, bj
+    except ZeroDivisionError:
+        raise ValueError(
+            f"float breakdown in the spine recurrence: b_{j - 1} rounds to 0"
+        ) from None
 
 
 def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
@@ -349,7 +359,7 @@ def convergence_report(
     c_const = p.delta - p.theta_prime
     for k, seq in zip(ks, seqs):
         tree = make_caterpillar(seq.r)
-        sr = spectral_radius(a_alpha_weights(tree, alpha), tol)
+        sr = spectral_radius(a_alpha_weights(tree, alpha), tol, above=lam)
         rho_l.append(sr.value)
         gap_l.append(lam - sr.lower)
         sig_l.append(sigma_bound(seq))

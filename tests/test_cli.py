@@ -260,6 +260,12 @@ def _assert_one_line_error(capsys, argv):
         (["tables", "tau0", "--alphas", "0.1,-inf"], "--alphas values must be finite"),
         (["tables", "tau0", "--start", "0.3", "--stop", "0.1", "--step", "0.1"],
          "grid must be non-empty"),
+        # cancellation in the float spine: b_1 rounds to 0, or r_2 < 0
+        (["shearer", "-a", "0.1", "-l", "1e100", "-k", "3"],
+         "alpha-limit: error: float breakdown in the spine recurrence: b_1 rounds to 0\n"),
+        (["shearer", "-a", "0.5", "-l", "1e5", "-k", "50", "--exploratory"],
+         "alpha-limit: error: float breakdown in the spine recurrence: negative"
+         " pendant count r_2 = -1\n"),
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, argv, message):

@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from alpha_limit.diagonalize import (
     count_eigenvalues_greater,
+    count_margin,
     dense_spectrum_oracle,
     diagonalize,
     spectral_radius,
 )
-from alpha_limit.shearer import build_shearer
+from alpha_limit.shearer import build_shearer, classify_regime
 from alpha_limit.trees import (
     RootedTree,
     a_alpha_weights,
@@ -250,17 +251,21 @@ def test_count_with_zero_pivot_leaves_under_hub_and_root():
     assert ref.removed_edges == ((1, 0),)
     ev = np.linalg.eigvalsh(M.dense())
     assert count_eigenvalues_greater(M, 0.0) == ref.n_pos == np.sum(ev > EIG_BAND)
+    for m in (1, 2, 3):
+        assert count_eigenvalues_greater(M, 0.0, at_most=m) == min(ref.n_pos, m)
 
 
 @pytest.mark.parametrize("alpha, lam", [(0.1, 2.44), (0.01, 2.06)])
 def test_spectral_radius_matches_reference_bisection(alpha, lam, monkeypatch):
     seq = build_shearer(alpha, lam, 100)
     tree = make_caterpillar(seq.r)
-    planned = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
+    planned = spectral_radius(a_alpha_weights(tree, alpha), 1e-12, above=lam)
+    # the full per-vertex count, whatever cap is asked for: spectral_radius
+    # only tests a count for >= 1 and == 0, which the full count decides alike
     monkeypatch.setattr(
         sys.modules["alpha_limit.diagonalize"],
         "count_eigenvalues_greater",
-        lambda M, c: diagonalize(M, -c).n_pos,
+        lambda M, c, at_most=None: diagonalize(M, -c).n_pos,
     )
     reference = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
     assert (planned.lower, planned.upper, planned.iterations) == (
@@ -268,3 +273,111 @@ def test_spectral_radius_matches_reference_bisection(alpha, lam, monkeypatch):
         reference.upper,
         reference.iterations,
     )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(M=tree_matrices(), shifts=st.lists(st.floats(-4.0, 4.0), max_size=3))
+def test_capped_count_is_the_full_count_capped(M, shifts):
+    plan = M.inertia_plan
+    for c in EXACT_SHIFTS + shifts:
+        full = plan.count_greater(c)
+        for m in (1, 2, 3):
+            assert plan.count_greater(c, at_most=m) == min(full, m)
+
+
+def test_capped_count_on_p4_at_eigenvalue_shifts():
+    # inner pivots of P_4 hit zero at the shifts +-1, mid-pass
+    M = a_alpha_weights(make_path(4), 0.0)
+    golden = (1 + math.sqrt(5.0)) / 2
+    for c in EXACT_SHIFTS + [golden, golden - 1, -golden, 1 - golden]:
+        full = diagonalize(M, -c).n_pos
+        assert count_eigenvalues_greater(M, c) == full
+        for m in (1, 2, 3):
+            assert count_eigenvalues_greater(M, c, at_most=m) == min(full, m)
+
+
+def _plain_bisection(M, tol):
+    """(lower, upper, iterations) of the bisection with one full count per
+    step: the initial bracket of `spectral_radius`, no hint and no cap."""
+    a, delta = M.alpha, max(M.tree.degree)
+    lo = 0.5 * (
+        a * (delta + 1) + math.sqrt(a * a * (delta + 1) ** 2 + 4 * delta * (1 - 2 * a))
+    )
+    lo -= 1e-9
+    hi = delta + 1e-9
+    iters = 0
+    while hi - lo > tol and iters < 200:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if count_eigenvalues_greater(M, mid) >= 1:
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    return lo, hi, iters
+
+
+def _replayed(M, above):
+    res = spectral_radius(M, 1e-12, above=above)
+    return res.lower, res.upper, res.iterations
+
+
+# Ladders in both certified regimes, the two worked examples among them.
+LADDER_POINTS = [(0.1, 2.44), (0.25, 3.6), (0.01, 2.06), (0.1, 2.2)]
+LADDER = (4, 16, 64, 100, 256, 1024, 2000)
+
+# A point where the float count at lambda itself is 1 for G_226.
+SEED_912_POINT = (0.08963834194503933, 2.1651554605367416)
+
+
+@pytest.mark.parametrize("alpha, lam", LADDER_POINTS)
+def test_hinted_radius_replays_the_plain_bisection_on_ladders(alpha, lam):
+    assert classify_regime(alpha, lam) is not None
+    seqs = [build_shearer(alpha, lam, k) for k in LADDER]
+    for seq in seqs:
+        M = a_alpha_weights(make_caterpillar(seq.r), alpha)
+        assert _replayed(M, lam) == _plain_bisection(M, 1e-12)
+
+
+@pytest.mark.parametrize("k", [226, 452, 904])
+def test_hinted_radius_replays_the_plain_bisection_at_seed_912_point(k):
+    alpha, lam = SEED_912_POINT
+    M = a_alpha_weights(make_caterpillar(build_shearer(alpha, lam, k).r), alpha)
+    assert _replayed(M, lam) == _plain_bisection(M, 1e-12)
+
+
+def test_wrong_hints_change_nothing():
+    rng = random.Random(41)
+    for _ in range(60):
+        tree = _random_tree(rng, rng.randint(2, 40))
+        M = a_alpha_weights(tree, rng.choice([0.0, 0.5, rng.random()]))
+        plain = _plain_bisection(M, 1e-12)
+        rho = 0.5 * (plain[0] + plain[1])
+        eta = count_margin(M)
+        delta = max(tree.degree)
+        # hints within a few eta of the radius put it between the probes
+        hints = [rho + j * eta / 2 for j in range(-9, 10)] + [
+            rho - 0.1, rho - 1e-13, rho + 1e-13, delta - 1e-9, delta + 5.0,
+            -1.0, 1e6, math.inf, math.nan,
+        ]
+        for above in hints:
+            assert _replayed(M, above) == plain
+
+
+def test_passes_count_the_inertia_passes():
+    rng = random.Random(43)
+    for _ in range(10):
+        M = a_alpha_weights(_random_tree(rng, rng.randint(2, 30)), rng.random())
+        res = spectral_radius(M, 1e-12)
+        assert res.passes == res.iterations
+    M = a_alpha_weights(make_caterpillar(build_shearer(0.1, 2.44, 400).r), 0.1)
+    res = spectral_radius(M, 1e-12, above=2.44)
+    assert res.passes <= 25 < res.iterations
+    # a wrong hint costs at most the two probes; outside the initial
+    # bracket it is not probed
+    for above in (2.43, 2.5, 4.0):
+        res = spectral_radius(M, 1e-12, above=above)
+        assert res.passes <= res.iterations + 2
+    res = spectral_radius(M, 1e-12, above=2.0)
+    assert res.passes == res.iterations

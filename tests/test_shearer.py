@@ -35,6 +35,22 @@ def test_build_validation():
         build_shearer(0.1, 1.9, 5)
 
 
+def test_convergence_report_hints_the_radius_with_lambda(monkeypatch):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(spectral_radius(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(shearer, "spectral_radius", recording)
+    rep = convergence_report(0.1, 2.44, [20, 100, 400])
+    assert [r.value for r in results] == list(rep.rho_k)
+    # at k = 20 rho is 1.7e-4 below lambda, and the steps in between count;
+    # from k = 100 on rho agrees with lambda to the bisection tolerance
+    assert results[0].passes < results[0].iterations
+    assert all(r.passes <= 25 < r.iterations for r in results[1:])
+
+
 def test_k1_convention():
     a, lam = 0.1, 2.44
     seq = build_shearer(a, lam, 1)
