@@ -1,8 +1,11 @@
-"""Bottom-up congruence diagonalization of tree matrices.
+"""Eigenvalue location on trees by bottom-up congruence.
 
-Given a tree matrix M = A_alpha(T) and a shift x, produces a diagonal
-matrix congruent to M + xI; the signs of the diagonal locate eigenvalues of M
-relative to -x (Sylvester's law of inertia).
+For a tree matrix M = A_alpha(T) and a shift c, M - cI is congruent to a
+diagonal matrix whose entries (pivots) are found leaves first (Jacobs and
+Trevisan, LAA 434, 2011); by Sylvester's law of inertia the number of
+positive pivots is the number of eigenvalues of M above c.  Bisection on
+that count brackets the spectral radius, and a dense LAPACK oracle checks
+it on small trees.
 """
 from __future__ import annotations
 
@@ -24,17 +27,6 @@ ORACLE_MAX_N = 64
 
 
 @dataclass(frozen=True)
-class DiagResult:
-    """Diagonal values (in bottom-up order) and inertia counts."""
-
-    d: tuple[float, ...]
-    removed_edges: tuple[tuple[int, int], ...]
-    n_pos: int
-    n_neg: int
-    n_zero: int
-
-
-@dataclass(frozen=True)
 class SpectralRadiusResult:
     value: float
     lower: float
@@ -43,55 +35,25 @@ class SpectralRadiusResult:
     passes: int  # inertia passes run, the probes of a hint included
 
 
-def diagonalize(M: WeightedTreeMatrix, x: float) -> DiagResult:
-    """Diagonalize M + xI by bottom-up congruence operations.
-
-    Each non-leaf vertex absorbs -(m_ck)^2/d_c from every child c with a
-    nonzero pivot; a zero child pivot instead forces the pair
-    (d_k, d_j) := (-(m_jk)^2/2, 2) and disconnects v_k from its parent.
-    The input is never mutated; edge removals act on a scratch copy.
-    """
-    tree = M.tree
-    n = tree.n
-    d = [M.diag[v] + x for v in range(n)]
-    attached = [tree.parent[v] is not None for v in range(n)]
-    removed: list[tuple[int, int]] = []
-    for v in tree.order:
-        kids = [c for c in tree.children[v] if attached[c]]
-        if not kids:
-            continue
-        zero_kid = next((c for c in kids if abs(d[c]) <= ZERO_TOL), None)
-        if zero_kid is None:
-            d[v] -= sum(M.edge_w[c] ** 2 / d[c] for c in kids)
-        else:
-            d[v] = -(M.edge_w[zero_kid] ** 2) / 2.0
-            d[zero_kid] = 2.0
-            p = tree.parent[v]
-            if p is not None:
-                attached[v] = False
-                removed.append((v, p))
-    ordered = tuple(d[v] for v in tree.order)
-    n_pos = sum(1 for di in ordered if di > ZERO_TOL)
-    n_neg = sum(1 for di in ordered if di < -ZERO_TOL)
-    return DiagResult(
-        d=ordered,
-        removed_edges=tuple(removed),
-        n_pos=n_pos,
-        n_neg=n_neg,
-        n_zero=n - n_pos - n_neg,
-    )
-
-
 @dataclass(frozen=True)
 class InertiaPlan:
     """An A_alpha tree matrix compiled once for repeated inertia counts.
 
-    The bottom-up pass of `diagonalize`, in flat arrays: the vertices that
-    have children, plus the root, listed bottom-up as plan indices 0..m-1,
+    The pivots of M - cI, bottom-up: a vertex v whose attached children
+    all have nonzero pivots gets d_v = alpha*deg(v) - c - sum w2/d_u over
+    them, with w2 = (1-alpha)^2.  A pivot with |d| <= ZERO_TOL counts as
+    zero.  If some attached child u of v has a zero pivot, v takes the
+    zero branch instead: d_u := 2, d_v := -w2/2, and the edge from v to
+    its parent is removed, so v adds no term to its parent.  Both steps
+    are congruences, so the positive pivots count the eigenvalues of M
+    above c.
+
+    The plan holds that pass in flat arrays: the vertices that have
+    children, plus the root, listed bottom-up as plan indices 0..m-1,
     with their diagonal entries alpha*deg and the plan index of their
-    parent (m for the root, a scratch slot).  Every edge has the squared
-    weight w2 = (1-alpha)^2 and every leaf the diagonal entry alpha, so
-    all leaves share one pivot and are folded into a count per parent.
+    parent (m for the root, a scratch slot).  Every leaf has the diagonal
+    entry alpha, so all leaves share one pivot and are folded into a
+    count per parent.
     """
 
     alpha: float
@@ -121,20 +83,20 @@ class InertiaPlan:
         )
 
     def count_greater(self, c: float, at_most: Optional[int] = None) -> int:
-        """Number of positive pivots of M - cI: `diagonalize(M, -c).n_pos`
-        by the same recurrence, with a vertex's terms summed in another
-        order (its m leaves add m * w2/d at once, first).  With at_most
-        given, the count is min(that number, at_most): the running count
-        pos + len(fired) never decreases, so the pass returns as soon as
-        it reaches the cap.
+        """Number of positive pivots of M - cI, that is, of eigenvalues of
+        M above c.  With at_most given, the count is min(that number,
+        at_most): the running count pos + len(fired) never decreases, so
+        the pass returns as soon as it reaches the cap.
 
         Pivots are pushed up as they are found: acc[p] collects the terms
-        w2/d of p's children.  A zero pivot sends its parent p into the
-        zero branch of `diagonalize`: one zero child ends at the pivot 2
-        (one positive count per such parent, whichever child it is), p at
-        -w2/2 (never positive, marked by acc[p] = NaN), and p is detached
-        (its push is redirected to the scratch slot).  A NaN pivot falls
-        through to the push and spreads to its parent, as in the reference.
+        w2/d of p's children, and a vertex's m leaves add m * w2/d at
+        once, first.  A zero pivot sends its parent p into the zero
+        branch: one zero child ends at the pivot 2 (one positive count per
+        such parent, whichever child it is and however many are zero), p
+        at -w2/2 (never positive, marked by acc[p] = NaN), and p is
+        detached (its push is redirected to the scratch slot).  A NaN
+        pivot is neither counted nor zero, so it falls through to the push
+        like any other.
         """
         cap = sys.maxsize if at_most is None else at_most
         x = -c
@@ -182,10 +144,10 @@ def count_eigenvalues_greater(
     M: WeightedTreeMatrix, c: float, at_most: Optional[int] = None
 ) -> int:
     """Number of eigenvalues of M strictly greater than c, or at most
-    at_most of them.
-
-    Runs on the matrix's compiled `inertia_plan`; `diagonalize` is the
-    per-vertex reference with the same counts.
+    at_most of them: the positive pivots of M - cI on the matrix's
+    compiled `inertia_plan`, where a pivot with |d| <= ZERO_TOL is zero
+    and a zero child pivot turns its parent's pivot into -(1-alpha)^2/2,
+    its own into 2, and cuts the parent from its parent.
     """
     return M.inertia_plan.count_greater(c, at_most)
 

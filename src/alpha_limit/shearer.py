@@ -267,6 +267,10 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
     count, the products b_{j+m-i+1} * b_{j+m+i} must stay below
     (1 - alpha)^2.  Only valid in the interval regime tau1 <= lam < tau1'
     with alpha below the degeneration point.
+
+    Pairs stop before the last spine vertex v_k: it is the root, with one
+    neighbour fewer, so b_k carries an extra -alpha and is not a value of
+    the interior recurrence the chain argument is about.
     """
     a = seq.params.alpha
     miss = _tau1_miss(a, seq.params.lam)
@@ -282,7 +286,7 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
         for i in range(1, m + 2):
             left = last - i + 1
             right = last + i
-            if left < 1 or right > seq.k:
+            if left < 1 or right >= seq.k:
                 break
             prod = seq.b[left - 1] * seq.b[right - 1]
             pairs.append(

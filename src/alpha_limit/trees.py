@@ -74,17 +74,6 @@ class WeightedTreeMatrix:
             raise ValueError("alpha must lie in [0, 1]")
 
     @cached_property
-    def diag(self) -> tuple[float, ...]:
-        """Diagonal entries alpha*deg(v)."""
-        return tuple(self.alpha * d for d in self.tree.degree)
-
-    @cached_property
-    def edge_w(self) -> tuple[float, ...]:
-        """Entry 1 - alpha of the edge to each vertex's parent (root: 0.0)."""
-        w = 1.0 - self.alpha
-        return tuple(0.0 if p is None else w for p in self.tree.parent)
-
-    @cached_property
     def inertia_plan(self):
         """The matrix compiled for inertia counts (`diagonalize.InertiaPlan`)."""
         from .diagonalize import InertiaPlan
@@ -95,9 +84,9 @@ class WeightedTreeMatrix:
         """Assemble the dense symmetric matrix (numpy array)."""
         import numpy as np
 
-        a = np.diag(np.array(self.diag, dtype=float))
+        a = np.diag(self.alpha * np.array(self.tree.degree, dtype=float))
         for v, p in self.tree.edges():
-            a[v, p] = a[p, v] = self.edge_w[v]
+            a[v, p] = a[p, v] = 1.0 - self.alpha
         return a
 
 

@@ -97,6 +97,14 @@ def test_shearer_pairing_table_in_interval_regime(tmp_path):
     assert "pairing bound (1-alpha)^2 = 0.9801" in text
     assert "b_10 * b_11" in text
     assert "FAIL" not in text
+    # pairs stop before v_k, whose b_k carries the root's extra -alpha
+    code, text = _run_to_file(
+        tmp_path, "end.txt", ["shearer", "-a", "0.1873", "-l", "2.1181", "-k", "100"]
+    )
+    assert code == 0
+    assert "pairing bound" in text
+    assert "* b_100 " not in text
+    assert "FAIL" not in text
 
 
 def test_shearer_json(tmp_path):

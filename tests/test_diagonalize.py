@@ -1,10 +1,12 @@
-"""Congruence diagonalization, inertia counting, bisection and the dense
-eigenvalue oracle."""
+"""Inertia counting, bisection and the dense eigenvalue oracle.
+
+The float counts are checked against LAPACK and against the exact
+`Fraction` pivots of `tests/exact_inertia.py`."""
 from __future__ import annotations
 
 import math
 import random
-import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from alpha_limit.diagonalize import (
     count_eigenvalues_greater,
     count_margin,
     dense_spectrum_oracle,
-    diagonalize,
     spectral_radius,
 )
 from alpha_limit.shearer import build_shearer, classify_regime
@@ -24,6 +25,7 @@ from alpha_limit.trees import (
     make_caterpillar,
     make_path,
 )
+from exact_inertia import exact_count_greater, exact_pivots
 
 
 def _random_tree(rng: random.Random, n: int) -> RootedTree:
@@ -31,23 +33,23 @@ def _random_tree(rng: random.Random, n: int) -> RootedTree:
     return RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
 
 
+def _inertia(pivots) -> tuple[int, int, int]:
+    pos = sum(1 for d in pivots if d > 0)
+    neg = sum(1 for d in pivots if d < 0)
+    return pos, neg, len(pivots) - pos - neg
+
+
 def test_p2_zero_branch():
-    res = diagonalize(a_alpha_weights(make_path(2), 0.0), 0.0)
+    tree = make_path(2)
     # leaf pivot 0 fires the zero branch: parent takes -1/2, leaf takes 2
-    assert res.d == (2.0, -0.5)
-    assert (res.n_pos, res.n_neg, res.n_zero) == (1, 1, 0)
-    assert res.removed_edges == ()
+    assert exact_pivots(tree.parent, tree.order, 0.0, 0) == [2, Fraction(-1, 2)]
+    assert count_eigenvalues_greater(a_alpha_weights(tree, 0.0), 0.0) == 1
 
 
 def test_p3_zero_eigenvalue():
-    res = diagonalize(a_alpha_weights(make_path(3), 0.0), 0.0)
-    assert (res.n_pos, res.n_neg, res.n_zero) == (1, 1, 1)
-
-
-def test_diag_result_json():
-    res = diagonalize(a_alpha_weights(make_path(2), 0.0), 0.0)
-    assert res.d == (2.0, -0.5)
-    assert (res.n_pos, res.n_neg, res.n_zero) == (1, 1, 0)
+    tree = make_path(3)
+    assert _inertia(exact_pivots(tree.parent, tree.order, 0.0, 0)) == (1, 1, 1)
+    assert count_eigenvalues_greater(a_alpha_weights(tree, 0.0), 0.0) == 1
 
 
 def test_count_eigenvalues_greater_small_cases():
@@ -76,11 +78,12 @@ def test_sylvester_consistency_200_random_trees():
         tree = _random_tree(rng, n)
         M = a_alpha_weights(tree, rng.random())
         c = rng.uniform(-4.0, 4.0)
-        res = diagonalize(M, -c)
+        exact = _inertia(exact_pivots(tree.parent, tree.order, M.alpha, c))
         spec = dense_spectrum_oracle(M)
         pos = sum(1 for ev in spec if ev > c + 1e-8)
         neg = sum(1 for ev in spec if ev < c - 1e-8)
-        assert (res.n_pos, res.n_neg, res.n_zero) == (pos, neg, n - pos - neg)
+        assert exact == (pos, neg, n - pos - neg)
+        assert count_eigenvalues_greater(M, c) == pos
 
 
 def test_inertia_permutation_invariance():
@@ -102,9 +105,7 @@ def test_inertia_permutation_invariance():
         relabeled = RootedTree(n=tree.n, parent=tuple(parent), order=order)
         M = a_alpha_weights(relabeled, 0.3)
         for c in (-1.0, 0.0, 0.5, 2.0):
-            r1 = diagonalize(base, -c)
-            r2 = diagonalize(M, -c)
-            assert (r1.n_pos, r1.n_neg, r1.n_zero) == (r2.n_pos, r2.n_neg, r2.n_zero)
+            assert count_eigenvalues_greater(M, c) == count_eigenvalues_greater(base, c)
 
 
 def test_spectral_radius_simple_values():
@@ -194,21 +195,17 @@ def test_oracle_size_limit():
         dense_spectrum_oracle(a_alpha_weights(make_path(65), 0.0))
 
 
-def test_diagonalize_does_not_mutate_input():
-    M = a_alpha_weights(make_path(4), 0.0)
-    before = (M.tree.parent, M.diag, M.edge_w)
-    diagonalize(M, 0.0)  # hits the zero branch on P_4 at eigenvalue shifts
-    diagonalize(M, -1.0)
-    assert (M.tree.parent, M.diag, M.edge_w) == before
-
-
 # Shifts that sit exactly (or to rounding) on eigenvalues of integer-weighted
 # subtrees: 0 on any tree with an odd part, +-1 on P_2, +-sqrt 2 on P_3.
 EXACT_SHIFTS = [0.0, 1.0, -1.0, math.sqrt(2.0), -math.sqrt(2.0)]
 
-# Eigenvalues closer than this to the shift are left to the reference count;
+# Eigenvalues closer than this to the shift are left to the exact count;
 # eigvalsh is accurate to about n * eps * |M|, far below it for n <= 500.
 EIG_BAND = 1e-8
+
+# Largest tree the Hypothesis test checks against the exact count, which
+# grows much faster than linearly in n.
+EXACT_MAX_N = 60
 
 
 @st.composite
@@ -227,13 +224,22 @@ def tree_matrices(draw):
     return a_alpha_weights(tree, alpha)
 
 
+def _within_margin(M, c: float, count: int) -> bool:
+    """exact(c + eta) <= count <= exact(c - eta), eta = count_margin(M)."""
+    tree, eta = M.tree, Fraction(count_margin(M))
+    lo = exact_count_greater(tree.parent, tree.order, M.alpha, Fraction(c) + eta)
+    hi = exact_count_greater(tree.parent, tree.order, M.alpha, Fraction(c) - eta)
+    return lo <= count <= hi
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(M=tree_matrices(), shifts=st.lists(st.floats(-4.0, 4.0), max_size=3))
 def test_count_matches_reference_and_eigvalsh(M, shifts):
     ev = np.linalg.eigvalsh(M.dense())
     for c in EXACT_SHIFTS + shifts:
         count = count_eigenvalues_greater(M, c)
-        assert count == diagonalize(M, -c).n_pos
+        if M.tree.n <= EXACT_MAX_N:
+            assert _within_margin(M, c, count)
         assert np.sum(ev > c + EIG_BAND) <= count <= np.sum(ev > c - EIG_BAND)
 
 
@@ -247,32 +253,12 @@ def test_count_with_zero_pivot_leaves_under_hub_and_root():
     M = a_alpha_weights(tree, 0.0)
     plan = M.inertia_plan
     assert (plan.leaf_parents, plan.leaf_counts) == ((0, 1), (5, 1))
-    ref = diagonalize(M, 0.0)
-    assert ref.removed_edges == ((1, 0),)
+    half = Fraction(-1, 2)
+    assert exact_pivots(parent, tree.order, 0.0, 0) == [half, half, 2, 0, 0, 0, 0, 2]
     ev = np.linalg.eigvalsh(M.dense())
-    assert count_eigenvalues_greater(M, 0.0) == ref.n_pos == np.sum(ev > EIG_BAND)
+    assert count_eigenvalues_greater(M, 0.0) == 2 == np.sum(ev > EIG_BAND)
     for m in (1, 2, 3):
-        assert count_eigenvalues_greater(M, 0.0, at_most=m) == min(ref.n_pos, m)
-
-
-@pytest.mark.parametrize("alpha, lam", [(0.1, 2.44), (0.01, 2.06)])
-def test_spectral_radius_matches_reference_bisection(alpha, lam, monkeypatch):
-    seq = build_shearer(alpha, lam, 100)
-    tree = make_caterpillar(seq.r)
-    planned = spectral_radius(a_alpha_weights(tree, alpha), 1e-12, above=lam)
-    # the full per-vertex count, whatever cap is asked for: spectral_radius
-    # only tests a count for >= 1 and == 0, which the full count decides alike
-    monkeypatch.setattr(
-        sys.modules["alpha_limit.diagonalize"],
-        "count_eigenvalues_greater",
-        lambda M, c, at_most=None: diagonalize(M, -c).n_pos,
-    )
-    reference = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
-    assert (planned.lower, planned.upper, planned.iterations) == (
-        reference.lower,
-        reference.upper,
-        reference.iterations,
-    )
+        assert count_eigenvalues_greater(M, 0.0, at_most=m) == min(2, m)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -290,10 +276,33 @@ def test_capped_count_on_p4_at_eigenvalue_shifts():
     M = a_alpha_weights(make_path(4), 0.0)
     golden = (1 + math.sqrt(5.0)) / 2
     for c in EXACT_SHIFTS + [golden, golden - 1, -golden, 1 - golden]:
-        full = diagonalize(M, -c).n_pos
-        assert count_eigenvalues_greater(M, c) == full
+        full = count_eigenvalues_greater(M, c)
+        assert _within_margin(M, c, full)
         for m in (1, 2, 3):
             assert count_eigenvalues_greater(M, c, at_most=m) == min(full, m)
+
+
+# Shifts on eigenvalues of many small trees at alpha = 0 and 1/2.
+SHARP_SHIFTS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0)
+
+
+def test_count_is_exact_at_eigenvalue_shifts():
+    # the margin bracket cannot see an off-by-one in the zero branch at an
+    # eigenvalue; the exact count at the eigenvalue itself can
+    rng = random.Random(1212)
+    on_eigenvalue = 0
+    for i in range(200):
+        n = rng.randint(2, 40)
+        hubs = (n, 1, rng.randint(2, 4))[i % 3]  # random trees, stars, leafy hubs
+        parent = [None] + [rng.randrange(min(v, hubs)) for v in range(1, n)]
+        tree = RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
+        for alpha in (0.0, 0.5):
+            M = a_alpha_weights(tree, alpha)
+            for c in SHARP_SHIFTS:
+                pivots = exact_pivots(parent, tree.order, alpha, c)
+                on_eigenvalue += 0 in pivots
+                assert count_eigenvalues_greater(M, c) == _inertia(pivots)[0]
+    assert on_eigenvalue >= 500
 
 
 def _plain_bisection(M, tol):

@@ -10,7 +10,7 @@ import pytest
 
 from alpha_limit import shearer
 from alpha_limit.alpha_theory import AlphaLambda, alpha_star, tau1_interval, tau2
-from alpha_limit.diagonalize import diagonalize, spectral_radius
+from alpha_limit.diagonalize import spectral_radius
 from alpha_limit.shearer import (
     MAX_K,
     MAX_VERTICES,
@@ -26,6 +26,7 @@ from alpha_limit.shearer import (
     zero_runs,
 )
 from alpha_limit.trees import a_alpha_weights, make_caterpillar
+from exact_inertia import exact_count_greater, exact_pivots
 
 
 def test_build_validation():
@@ -73,17 +74,16 @@ def test_spine_replay_reproduces_greedy_build(k):
 
 
 def test_spine_matches_diagonalize_small_k():
-    # the closed recurrence and the generic congruence pass must agree on
-    # the spine diagonal; tested at small k where double precision still
-    # resolves the comparison (the drift amplifies like the divergence
-    # sum for large k)
+    # the closed recurrence and the exact congruence diagonalization of
+    # A_alpha - lam*I must agree on the spine pivots; tested at small k
+    # where double precision still resolves the comparison (the drift
+    # amplifies like the divergence sum for large k)
     for a, lam, k in [(0.1, 2.44, 12), (0.01, 2.06, 15), (0.25, 3.0, 10), (0.0, 2.5, 8)]:
         seq = build_shearer(a, lam, k)
         tree = make_caterpillar(seq.r)
-        res = diagonalize(a_alpha_weights(tree, a), -lam)
-        spine = res.d[-k:]
+        spine = exact_pivots(tree.parent, tree.order, a, Fraction(lam))[:k]
         for bj, dj in zip(seq.b, spine):
-            assert dj == pytest.approx(bj, abs=1e-10)
+            assert float(dj) == pytest.approx(bj, abs=1e-10)
 
 
 def test_window_and_maximality_hold_after_build():
@@ -241,6 +241,15 @@ def test_pairing_structure_on_small_lambda_example():
         assert count <= m + 1
 
 
+@pytest.mark.parametrize("k", [100, 400, 2320])
+def test_pairing_stops_before_the_last_spine_vertex(k):
+    # b_k carries the root's extra -alpha, so pairs ending at v_k are no
+    # part of the chain argument; at (0.1873, 2.1181) they exceed the bound
+    rep = pairing_check(build_shearer(0.1873, 2.1181, k))
+    assert rep.ok
+    assert all(e.right < k for e in rep.pairs)
+
+
 def test_published_interior_spine_values():
     seq = build_shearer(0.01, 2.06, 100)
     assert seq.b[20] == pytest.approx(-0.8559245912071809, abs=1e-12)
@@ -258,21 +267,13 @@ def test_example_001_radius_cross_check():
     tree = make_caterpillar(seq.r)
     M = a_alpha_weights(tree, 0.01)
 
-    def count_above(shift: Fraction) -> int:
-        # Sylvester inertia of A_alpha - shift*I by the bottom-up tree pass,
-        # in exact arithmetic with alpha = 1/100; no pivot is zero at these
-        # shifts, so the zero-pivot branch of the general method is not needed
-        a = Fraction(1, 100)
-        w2 = (1 - a) ** 2
-        d = [Fraction(0)] * tree.n
-        for v in tree.order:
-            d[v] = a * tree.degree[v] - shift - sum(w2 / d[c] for c in tree.children[v])
-            assert d[v] != 0
-        return sum(1 for x in d if x > 0)
+    def count_above(shift: str) -> int:
+        # Sylvester inertia in exact arithmetic with alpha = 1/100
+        return exact_count_greater(tree.parent, tree.order, Fraction(1, 100), shift)
 
-    assert count_above(Fraction("2.0599985378552")) == 1
-    assert count_above(Fraction("2.0599985378553")) == 0
-    assert count_above(Fraction("2.059998455508993")) == 1
+    assert count_above("2.0599985378552") == 1
+    assert count_above("2.0599985378553") == 0
+    assert count_above("2.059998455508993") == 1
 
     sr = spectral_radius(M, 1e-12)
     lapack_rho = float(np.linalg.eigvalsh(M.dense())[-1])

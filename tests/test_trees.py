@@ -95,24 +95,24 @@ def test_starlike_n5_radius_below_small_limit():
 
 def test_a_alpha_weights_adjacency_and_degree_cases():
     tree = make_caterpillar((2, 1))
-    m0 = a_alpha_weights(tree, 0.0)
-    assert all(d == 0.0 for d in m0.diag)
-    assert all(m0.edge_w[v] == 1.0 for v, _ in tree.edges())
+    m0 = a_alpha_weights(tree, 0.0).dense()
+    assert all(m0[v, v] == 0.0 for v in range(tree.n))
+    assert all(m0[v, p] == 1.0 for v, p in tree.edges())
 
     p3 = make_path(3)
-    m1 = a_alpha_weights(p3, 1.0)
-    assert m1.diag == (1.0, 2.0, 1.0)
-    assert all(m1.edge_w[v] == 0.0 for v, _ in p3.edges())
+    m1 = a_alpha_weights(p3, 1.0).dense()
+    assert m1.tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def test_a_alpha_weights_starlike_122():
     tree = make_starlike_1nn(2)
     m = a_alpha_weights(tree, 0.1)
+    a = m.dense()
     # root degree 3, path-interior degree 2, leaves degree 1
-    assert m.diag[0] == pytest.approx(0.3)
-    assert m.diag[2] == pytest.approx(0.2)
-    assert m.diag[1] == pytest.approx(0.1)
-    assert all(m.edge_w[v] == pytest.approx(0.9) for v, _ in tree.edges())
+    assert a[0, 0] == pytest.approx(0.3)
+    assert a[2, 2] == pytest.approx(0.2)
+    assert a[1, 1] == pytest.approx(0.1)
+    assert all(a[v, p] == pytest.approx(0.9) for v, p in tree.edges())
     assert m.alpha == 0.1
 
 
