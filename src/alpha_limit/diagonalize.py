@@ -66,18 +66,20 @@ class InertiaPlan:
     @classmethod
     def compile(cls, M: WeightedTreeMatrix) -> "InertiaPlan":
         tree, alpha = M.tree, M.alpha
-        kids, degree = tree.children, tree.degree
-        inner = [v for v in tree.order if kids[v] or tree.parent[v] is None]
-        index = {v: i for i, v in enumerate(inner)}
-        leaves = [sum(1 for c in kids[v] if not kids[c]) for v in inner]
+        count, up, degree = tree.child_count, tree.parent, tree.degree
+        inner = [v for v in tree.order[:-1] if count[v]] + [tree.root]
+        index = [0] * tree.n
+        for i, v in enumerate(inner):
+            index[v] = i
+        parent = [index[up[v]] for v in inner[:-1]] + [len(inner)]
+        leaves = [count[v] for v in inner]  # children that are not inner
+        for p in parent[:-1]:
+            leaves[p] -= 1
         return cls(
             alpha=alpha,
             w2=(1.0 - alpha) ** 2,
             diag=tuple(alpha * degree[v] for v in inner),
-            parent=tuple(
-                len(inner) if tree.parent[v] is None else index[tree.parent[v]]
-                for v in inner
-            ),
+            parent=tuple(parent),
             leaf_parents=tuple(i for i, m in enumerate(leaves) if m),
             leaf_counts=tuple(m for m in leaves if m),
         )

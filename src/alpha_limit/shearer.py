@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import alpha_theory as at
 from .alpha_theory import AlphaLambda
@@ -24,9 +24,10 @@ EPS_BISECT_TOL = 1e-13
 _WINDOW_SLACK = 1e-9
 
 # Largest G_k that convergence_report builds, by spine length and by
-# vertex count (Python 3.11, one core): k = MAX_K at (0.1, 2.44), 181 893
-# vertices, takes 2.2 s; a leafy G_k of MAX_VERTICES vertices (alpha = 0,
-# lambda = 60, k = 900) takes 2.1 s and 185 MB.
+# vertex count (Python 3.11, one Xeon core): k = MAX_K at (0.1, 2.44),
+# 181 893 vertices, takes 0.6 s; a leafy G_k of nearly MAX_VERTICES
+# vertices (alpha = 0, lambda = 60, k = 892: 998 737) takes 0.9 s and
+# 115 MB.
 MAX_K = 100_000
 MAX_VERTICES = 1_000_000
 
@@ -52,8 +53,7 @@ class WindowReport:
     max_zero_run: int
 
 
-@dataclass(frozen=True)
-class PairingEntry:
+class PairingEntry(NamedTuple):
     left: int  # 1-based spine indices
     right: int
     product: float
@@ -277,8 +277,9 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
     if miss is not None:
         raise ValueError(f"pairing argument needs the tau1 regime: {miss}")
     bound = (1.0 - a) ** 2
+    k, b = seq.k, seq.b
     pairs: list[PairingEntry] = []
-    runs = [run for run in zero_runs(seq.r) if run[1] < seq.k]
+    runs = [run for run in zero_runs(seq.r) if run[1] < k]
     for first, last in runs:
         # pair outward from the run's end; the chain argument certifies
         # one step per zero entry plus the base pair
@@ -286,12 +287,10 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
         for i in range(1, m + 2):
             left = last - i + 1
             right = last + i
-            if left < 1 or right >= seq.k:
+            if left < 1 or right >= k:
                 break
-            prod = seq.b[left - 1] * seq.b[right - 1]
-            pairs.append(
-                PairingEntry(left=left, right=right, product=prod, ok=prod < bound)
-            )
+            prod = b[left - 1] * b[right - 1]
+            pairs.append(PairingEntry(left, right, prod, prod < bound))
     ok = all(p.ok for p in pairs)
     return PairingReport(ok=ok, bound=bound, pairs=tuple(pairs), runs=tuple(runs))
 

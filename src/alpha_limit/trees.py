@@ -23,17 +23,22 @@ class RootedTree:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.n
-        if n < 1 or len(self.parent) != n or len(self.order) != n:
+        n, parent, order = self.n, self.parent, self.order
+        if n < 1 or len(parent) != n or len(order) != n:
             raise ValueError("inconsistent tree sizes")
-        roots = [v for v in range(n) if self.parent[v] is None]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
-        if sorted(self.order) != list(range(n)):
+        roots = parent.count(None)
+        if roots != 1:
+            raise ValueError(f"expected exactly one root, found {roots}")
+        root = parent.index(None)
+        links = parent[:root] + parent[root + 1 :]
+        if links and (min(links) < 0 or max(links) >= n):
+            raise ValueError("parent links must be vertices 0..n-1")
+        if sorted(order) != list(range(n)):
             raise ValueError("order is not a permutation of the vertices")
-        pos = {v: i for i, v in enumerate(self.order)}
-        for v in range(n):
-            p = self.parent[v]
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        for v, p in enumerate(parent):
             if p is not None and pos[v] >= pos[p]:
                 raise ValueError(f"order is not bottom-up at vertex {v}")
 
@@ -42,19 +47,17 @@ class RootedTree:
         return self.order[-1]
 
     @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            p = self.parent[v]
+    def child_count(self) -> tuple[int, ...]:
+        count = [0] * self.n
+        for p in self.parent:
             if p is not None:
-                kids[p].append(v)
-        return tuple(tuple(k) for k in kids)
+                count[p] += 1
+        return tuple(count)
 
     @cached_property
     def degree(self) -> tuple[int, ...]:
         return tuple(
-            len(self.children[v]) + (0 if self.parent[v] is None else 1)
-            for v in range(self.n)
+            c + (p is not None) for c, p in zip(self.child_count, self.parent)
         )
 
     def edges(self) -> list[tuple[int, int]]:
@@ -96,7 +99,7 @@ def make_caterpillar(r: Sequence[int]) -> RootedTree:
 
     Spine vertices take indices 0..k-1; leaves follow, grouped by spine
     vertex.  The bottom-up order lists all leaves first, then the spine
-    from v_1 up to v_k, so that diagonalization visits the spine in the
+    from v_1 up to v_k, so that the inertia pass visits the spine in the
     natural order.
     """
     k = len(r)
@@ -105,18 +108,10 @@ def make_caterpillar(r: Sequence[int]) -> RootedTree:
     if any(ri < 0 for ri in r):
         raise ValueError("pendant counts must be non-negative")
     n = k + sum(r)
-    parent: list[Optional[int]] = [None] * n
-    for i in range(k - 1):
-        parent[i] = i + 1
-    leaf = k
-    leaves = []
-    for i, ri in enumerate(r):
-        for _ in range(ri):
-            parent[leaf] = i
-            leaves.append(leaf)
-            leaf += 1
-    order = tuple(leaves + list(range(k)))
-    return RootedTree(n=n, parent=tuple(parent), order=order)
+    leaf_parents = tuple(i for i, ri in enumerate(r) for _ in range(ri))
+    parent = tuple(range(1, k)) + (None,) + leaf_parents
+    order = tuple(range(k, n)) + tuple(range(k))
+    return RootedTree(n=n, parent=parent, order=order)
 
 
 def make_starlike_1nn(n: int) -> RootedTree:

@@ -32,7 +32,7 @@ def _assert_degree_sum(tree: RootedTree):
 
 def _pendant_counts(tree: RootedTree, k: int) -> tuple[int, ...]:
     """Leaf children of each of the k spine vertices."""
-    return tuple(sum(1 for c in tree.children[i] if c >= k) for i in range(k))
+    return tuple(sum(1 for p in tree.parent[k:] if p == i) for i in range(k))
 
 
 def test_caterpillar_single_leaf_is_path_2():
@@ -128,12 +128,19 @@ def test_a_alpha_weights_domain_error():
 
 
 def test_rooted_tree_validation():
-    with pytest.raises(ValueError):
-        RootedTree(n=2, parent=(None, None), order=(0, 1))  # two roots
-    with pytest.raises(ValueError):
-        RootedTree(n=2, parent=(1, None), order=(1, 0))  # order not bottom-up
-    with pytest.raises(ValueError):
-        RootedTree(n=2, parent=(1, None), order=(0, 0))  # not a permutation
+    with pytest.raises(ValueError, match="inconsistent tree sizes"):
+        RootedTree(n=3, parent=(1, None), order=(0, 1))
+    with pytest.raises(ValueError, match="expected exactly one root, found 2"):
+        RootedTree(n=2, parent=(None, None), order=(0, 1))
+    with pytest.raises(ValueError, match="order is not a permutation"):
+        RootedTree(n=2, parent=(1, None), order=(0, 0))
+    with pytest.raises(ValueError, match="order is not bottom-up at vertex 0"):
+        RootedTree(n=2, parent=(1, None), order=(1, 0))
+    with pytest.raises(ValueError, match="order is not bottom-up at vertex 0"):
+        RootedTree(n=2, parent=(0, None), order=(0, 1))  # a link to itself
+    for link in (-1, 2):
+        with pytest.raises(ValueError, match=r"parent links must be vertices 0\.\.n-1"):
+            RootedTree(n=2, parent=(link, None), order=(0, 1))
 
 
 def test_tree_from_edge_list_round_trip():
