@@ -44,9 +44,10 @@ class InertiaPlan:
     them, with w2 = (1-alpha)^2.  A pivot with |d| <= ZERO_TOL counts as
     zero.  If some attached child u of v has a zero pivot, v takes the
     zero branch instead: d_u := 2, d_v := -w2/2, and the edge from v to
-    its parent is removed, so v adds no term to its parent.  Both steps
-    are congruences, so the positive pivots count the eigenvalues of M
-    above c.
+    its parent is removed, so v adds no term to its parent.  For w2 > 0
+    both steps are congruences, so the positive pivots count the
+    eigenvalues of M above c; at alpha = 1 (w2 = 0) M is the diagonal
+    D(T), and the count is taken from the diagonal directly.
 
     The plan holds that pass in flat arrays: the vertices that have
     children, plus the root, listed bottom-up as plan indices 0..m-1,
@@ -87,59 +88,56 @@ class InertiaPlan:
     def count_greater(self, c: float, at_most: Optional[int] = None) -> int:
         """Number of positive pivots of M - cI, that is, of eigenvalues of
         M above c.  With at_most given, the count is min(that number,
-        at_most): the running count pos + len(fired) never decreases, so
-        the pass returns as soon as it reaches the cap.
+        at_most): the running count pos never decreases, so the pass
+        returns as soon as it reaches the cap.
 
         Pivots are pushed up as they are found: acc[p] collects the terms
         w2/d of p's children, and a vertex's m leaves add m * w2/d at
         once, first.  A zero pivot sends its parent p into the zero
-        branch: one zero child ends at the pivot 2 (one positive count per
-        such parent, whichever child it is and however many are zero), p
-        at -w2/2 (never positive, marked by acc[p] = NaN), and p is
-        detached (its push is redirected to the scratch slot).  A NaN
-        pivot is neither counted nor zero, so it falls through to the push
-        like any other.
+        branch, and acc[p] = NaN is its only record: p's first zero child
+        ends at the pivot 2 (one positive count per such parent, whichever
+        child it is and however many are zero), and p, at -w2/2, is never
+        counted.  Its pivot d is NaN, so p is not pushed either, which
+        detaches it from its parent.
         """
         cap = sys.maxsize if at_most is None else at_most
+        if self.w2 == 0.0:  # M = D(T): the pivots are the diagonal less c
+            leaves = sum(self.leaf_counts) if self.alpha > c else 0
+            return min(cap, sum(b > c for b in self.diag) + leaves)
         x = -c
         tol = ZERO_TOL
-        nan = math.nan
         w = self.w2
         top = len(self.diag)
         acc = [0.0] * (top + 1)
-        parent = list(self.parent)
-        fired: set[int] = set()
         pos = 0
         t = self.alpha + x  # the pivot of every leaf
         if t > tol:
             pos += sum(self.leaf_counts)
         if -tol <= t <= tol:
-            fired.update(self.leaf_parents)
+            pos += len(self.leaf_parents)
             for p in self.leaf_parents:
-                parent[p] = top
-                acc[p] = nan
+                acc[p] = math.nan
         else:  # a positive leaf pivot is counted and pushed
             q = w / t
             for p, m in zip(self.leaf_parents, self.leaf_counts):
                 acc[p] += m * q
-        if pos + len(fired) >= cap:
+        if pos >= cap:
             return cap
-        for b, s, p in zip(self.diag, acc, parent):
+        for b, s, p in zip(self.diag, acc, self.parent):
             d = (b + x) - s
             if d > tol:
                 pos += 1
-                if pos + len(fired) >= cap:
+                if pos >= cap:
                     return cap
-            elif d >= -tol:
-                if p < top:
-                    fired.add(p)
-                    parent[p] = top
-                    acc[p] = nan
-                    if pos + len(fired) >= cap:
+            elif not d < -tol:  # a zero pivot, or NaN: v is in the zero branch
+                if p < top and not math.isnan(d) and not math.isnan(acc[p]):
+                    acc[p] = math.nan  # p's first zero child: +1, p detached
+                    pos += 1
+                    if pos >= cap:
                         return cap
                 continue
             acc[p] += w / d
-        return pos + len(fired)
+        return pos
 
 
 def count_eigenvalues_greater(
@@ -149,7 +147,8 @@ def count_eigenvalues_greater(
     at_most of them: the positive pivots of M - cI on the matrix's
     compiled `inertia_plan`, where a pivot with |d| <= ZERO_TOL is zero
     and a zero child pivot turns its parent's pivot into -(1-alpha)^2/2,
-    its own into 2, and cuts the parent from its parent.
+    its own into 2, and cuts the parent from its parent (at alpha = 1,
+    where M is diagonal, the diagonal entries above c).
     """
     return M.inertia_plan.count_greater(c, at_most)
 

@@ -169,10 +169,10 @@ def verify_window(seq: ShearerSequence) -> WindowReport:
     p = seq.params
     tp = p.theta_prime
     d = p.delta
-    a = p.alpha
+    a, k = p.alpha, seq.k
     viol: list[tuple[int, str]] = []
     for j, bj in enumerate(seq.b, start=1):
-        lo = tp - d - (a if j == seq.k else 0.0)
+        lo = tp - d - (a if j == k else 0.0)
         if not bj < tp:
             viol.append((j, f"b_{j} = {bj} not below theta_prime = {tp}"))
         if not bj >= lo - _WINDOW_SLACK:

@@ -22,7 +22,9 @@ def exact_pivots(
     With w = 1 - alpha, a vertex's pivot is alpha*deg(v) - c minus w^2/d_u
     over its attached children u.  A zero child pivot d_u instead sets
     d_u := 2 and the vertex's pivot to -w^2/2, and detaches the vertex
-    from its parent."""
+    from its parent.  That step is a congruence only for w != 0; at
+    alpha = 1 the matrix is diagonal, and its pivots are its diagonal
+    entries deg(v) - c."""
     n = len(parent)
     a, c = Fraction(alpha), Fraction(c)
     w2 = (1 - a) ** 2
@@ -31,6 +33,8 @@ def exact_pivots(
         if p is not None:
             kids[p].append(v)
     d = [a * (len(kids[v]) + (parent[v] is not None)) - c for v in range(n)]
+    if w2 == 0:
+        return d
     attached = [True] * n
     for v in order:
         live = [u for u in kids[v] if attached[u]]

@@ -216,6 +216,18 @@ def test_spectral_radius_subcommand(tmp_path):
     assert rho == pytest.approx(2.0, abs=1e-10)
 
 
+def test_spectral_radius_bracket_holds_the_radius_at_alpha_1(tmp_path):
+    # A_1(P_2) = D(P_2) = I: its radius 1 is a pivot of every vertex at once
+    edges = tmp_path / "p2.txt"
+    edges.write_text("1 2\n")
+    code, text = _run_to_file(
+        tmp_path, "rho.txt", ["spectral-radius", "--edges", str(edges), "-a", "1"]
+    )
+    assert code == 0
+    lower, upper = map(float, text.split("bracket [")[1].split("]")[0].split(", "))
+    assert lower < 1.0 <= upper
+
+
 def test_digits_flag(tmp_path):
     code, text = _run_to_file(
         tmp_path, "d4.txt", ["tables", "tau0", "--alphas", "0", "--digits", "4"]

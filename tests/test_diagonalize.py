@@ -301,8 +301,39 @@ def test_count_is_exact_at_eigenvalue_shifts():
             for c in SHARP_SHIFTS:
                 pivots = exact_pivots(parent, tree.order, alpha, c)
                 on_eigenvalue += 0 in pivots
-                assert count_eigenvalues_greater(M, c) == _inertia(pivots)[0]
+                exact = _inertia(pivots)[0]
+                assert count_eigenvalues_greater(M, c) == exact
+                # caps hit in the leaf stage, the spine and the zero branch
+                for m in range(exact + 2):
+                    assert M.inertia_plan.count_greater(c, at_most=m) == min(exact, m)
     assert on_eigenvalue >= 500
+
+
+def test_count_at_alpha_1_is_the_diagonal_count():
+    # A_1(T) = D(T): the eigenvalues are the degrees, and every integer
+    # shift sits on one of them
+    rng = random.Random(1313)
+    trees = [make_caterpillar((m,)) for m in (1, 2, 5)] + [make_path(n) for n in (2, 3, 7)]
+    for _ in range(40):
+        n = rng.randint(2, 40)
+        hubs = rng.choice([n, 2])  # random trees and leafy two-hub trees
+        parent = [None] + [rng.randrange(min(v, hubs)) for v in range(1, n)]
+        trees.append(
+            RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
+        )
+    for tree in trees:
+        M = a_alpha_weights(tree, 1.0)
+        delta = max(tree.degree)
+        for j in range(-1, delta + 2):
+            for c in (j - 1e-13, float(j), j + 1e-13):
+                above = sum(1 for d in tree.degree if d > c)
+                assert count_eigenvalues_greater(M, c) == above
+                assert exact_count_greater(tree.parent, tree.order, 1, c) == above
+                for m in (0, 1, 2):
+                    assert count_eigenvalues_greater(M, c, at_most=m) == min(above, m)
+        for hint in (None, float(delta)):
+            res = spectral_radius(M, 1e-12, above=hint)
+            assert res.lower < delta <= res.upper
 
 
 def _plain_bisection(M, tol):
