@@ -214,7 +214,7 @@ def verify_inertia(trials: int = 200, log=print) -> bool:
             log(f"FAIL inertia trial {t}: count_eigenvalues_greater {n_greater} vs {pos}")
             ok = False
         # the capped count each bisection step asks for
-        capped = M.inertia_plan.count_greater(c, at_most=1)
+        capped = count_eigenvalues_greater(M, c, at_most=1)
         if capped != min(pos, 1):
             log(f"FAIL inertia trial {t}: count capped at 1 is {capped} vs {min(pos, 1)}")
             ok = False

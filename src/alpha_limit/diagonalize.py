@@ -16,10 +16,11 @@ from typing import Optional
 
 from .trees import WeightedTreeMatrix
 
-# A pivot with |d| <= ZERO_TOL triggers the zero branch.  Exact zeros only
-# occur when the shift sits on an eigenvalue of an integer-weighted
-# subtree, which the oracle tests exercise deliberately.
-ZERO_TOL = 1e-12
+# A pivot with |d| <= ZERO_TOL is replaced by -ZERO_TOL (LAPACK's "pivmin"
+# rule for bisection), so no pivot is zero.  Exact zeros only occur when
+# the shift sits on an eigenvalue of an integer-weighted subtree, which the
+# oracle tests exercise deliberately.
+ZERO_TOL = 5e-13
 
 MAX_BISECT_ITER = 200
 
@@ -39,15 +40,14 @@ class SpectralRadiusResult:
 class InertiaPlan:
     """An A_alpha tree matrix compiled once for repeated inertia counts.
 
-    The pivots of M - cI, bottom-up: a vertex v whose attached children
-    all have nonzero pivots gets d_v = alpha*deg(v) - c - sum w2/d_u over
-    them, with w2 = (1-alpha)^2.  A pivot with |d| <= ZERO_TOL counts as
-    zero.  If some attached child u of v has a zero pivot, v takes the
-    zero branch instead: d_u := 2, d_v := -w2/2, and the edge from v to
-    its parent is removed, so v adds no term to its parent.  For w2 > 0
-    both steps are congruences, so the positive pivots count the
-    eigenvalues of M above c; at alpha = 1 (w2 = 0) M is the diagonal
-    D(T), and the count is taken from the diagonal directly.
+    The pivots of M - cI, bottom-up: a vertex v gets d_v = alpha*deg(v)
+    - c - sum w2/d_u over its children u, with w2 = (1-alpha)^2, and a
+    pivot with |d| <= ZERO_TOL becomes -ZERO_TOL before it is used.  No
+    pivot is then zero, so for w2 > 0 the steps are congruences and the
+    positive pivots count the eigenvalues above c of M with a few
+    diagonal entries lowered by at most 2*ZERO_TOL (see `count_margin`);
+    at alpha = 1 (w2 = 0) M is the diagonal D(T), and the count is taken
+    from the diagonal directly.
 
     The plan holds that pass in flat arrays: the vertices that have
     children, plus the root, listed bottom-up as plan indices 0..m-1,
@@ -93,12 +93,8 @@ class InertiaPlan:
 
         Pivots are pushed up as they are found: acc[p] collects the terms
         w2/d of p's children, and a vertex's m leaves add m * w2/d at
-        once, first.  A zero pivot sends its parent p into the zero
-        branch, and acc[p] = NaN is its only record: p's first zero child
-        ends at the pivot 2 (one positive count per such parent, whichever
-        child it is and however many are zero), and p, at -w2/2, is never
-        counted.  Its pivot d is NaN, so p is not pushed either, which
-        detaches it from its parent.
+        once, first.  A pivot in [-ZERO_TOL, ZERO_TOL] is pushed as
+        -ZERO_TOL, like any other negative pivot.
         """
         cap = sys.maxsize if at_most is None else at_most
         if self.w2 == 0.0:  # M = D(T): the pivots are the diagonal less c
@@ -107,35 +103,26 @@ class InertiaPlan:
         x = -c
         tol = ZERO_TOL
         w = self.w2
-        top = len(self.diag)
-        acc = [0.0] * (top + 1)
+        acc = [0.0] * (len(self.diag) + 1)
         pos = 0
         t = self.alpha + x  # the pivot of every leaf
         if t > tol:
             pos += sum(self.leaf_counts)
-        if -tol <= t <= tol:
-            pos += len(self.leaf_parents)
-            for p in self.leaf_parents:
-                acc[p] = math.nan
-        else:  # a positive leaf pivot is counted and pushed
-            q = w / t
-            for p, m in zip(self.leaf_parents, self.leaf_counts):
-                acc[p] += m * q
-        if pos >= cap:
-            return cap
+            if pos >= cap:
+                return cap
+        elif t >= -tol:
+            t = -tol
+        q = w / t
+        for p, m in zip(self.leaf_parents, self.leaf_counts):
+            acc[p] += m * q
         for b, s, p in zip(self.diag, acc, self.parent):
             d = (b + x) - s
             if d > tol:
                 pos += 1
                 if pos >= cap:
                     return cap
-            elif not d < -tol:  # a zero pivot, or NaN: v is in the zero branch
-                if p < top and not math.isnan(d) and not math.isnan(acc[p]):
-                    acc[p] = math.nan  # p's first zero child: +1, p detached
-                    pos += 1
-                    if pos >= cap:
-                        return cap
-                continue
+            elif d >= -tol:
+                d = -tol
             acc[p] += w / d
         return pos
 
@@ -145,16 +132,15 @@ def count_eigenvalues_greater(
 ) -> int:
     """Number of eigenvalues of M strictly greater than c, or at most
     at_most of them: the positive pivots of M - cI on the matrix's
-    compiled `inertia_plan`, where a pivot with |d| <= ZERO_TOL is zero
-    and a zero child pivot turns its parent's pivot into -(1-alpha)^2/2,
-    its own into 2, and cuts the parent from its parent (at alpha = 1,
-    where M is diagonal, the diagonal entries above c).
+    compiled `inertia_plan`, where a pivot with |d| <= ZERO_TOL becomes
+    -ZERO_TOL (at alpha = 1, where M is diagonal, the diagonal entries
+    above c).
     """
     return M.inertia_plan.count_greater(c, at_most)
 
 
 def count_margin(M: WeightedTreeMatrix) -> float:
-    """eta = ZERO_TOL + 4 eps (Delta+3)^2, eps = 2^-52 and Delta the maximum
+    """eta = 2 ZERO_TOL + 4 eps (Delta+3)^2, eps = 2^-52 and Delta the maximum
     degree: for every shift |c| <= Delta + 1 the float count satisfies
 
         exact(c + eta) <= count_eigenvalues_greater(M, c) <= exact(c - eta),
@@ -179,27 +165,26 @@ def count_margin(M: WeightedTreeMatrix) -> float:
     |c| <= Delta + 1.  Each edge has one child, so each th_u belongs to one
     edge: the float pivots are the exact pivots of M~ - cI, where M~ has
     the edge entries (1 - alpha) sqrt(1 + th_u) and the diagonal entries
-    alpha deg v + e_v.  The sign test and the zero branch treat every
-    |d_v| <= ZERO_TOL as an exact zero; moving d_v to 0 is one more
-    diagonal change of at most ZERO_TOL, after which the zero branch is
-    exact congruence.  So the float count is exactly the count of M~ at c,
-    and by the row-sum bound on the symmetric perturbation (each vertex
-    has at most Delta edges, each entry moves by at most |th_u|)
+    alpha deg v + e_v.  Replacing a pivot |d_v| <= ZERO_TOL by -ZERO_TOL
+    lowers that diagonal entry by at most 2 ZERO_TOL and never raises it,
+    and leaves no zero pivot.  So the float count is exactly the count of
+    M~ - Z at c, with Z diagonal and 0 <= Z <= 2 ZERO_TOL, and by the
+    row-sum bound on the symmetric perturbation (each vertex has at most
+    Delta edges, each entry moves by at most |th_u|)
 
-        ||M~ - M|| <= ZERO_TOL + u alpha Delta + g_2 (2 Delta + 1)
-                      + Delta g_(Delta+5)
-                   <= ZERO_TOL + 1.01 eps (Delta^2/2 + 5 Delta + 1)
-                   <= ZERO_TOL + eps (Delta + 3)^2,
+        ||M~ - M|| <= u alpha Delta + g_2 (2 Delta + 1) + Delta g_(Delta+5)
+                   <= 1.01 eps (Delta^2/2 + 5 Delta + 1) <= eps (Delta + 3)^2,
 
     using g_k <= 1.01 k u, true for every k u <= 0.01.
 
-    Weyl's inequality moves every eigenvalue by at most that norm, which
-    gives the two inequalities.  eta takes four times the rounding part,
-    which leaves room for the roundings of the shifts that the bisection
-    builds from eta.
+    Weyl's inequality moves every eigenvalue by at most that norm, and Z
+    only lowers them, by at most 2 ZERO_TOL, which gives the two
+    inequalities.  eta takes four times the rounding part, which leaves
+    room for the roundings of the shifts that the bisection builds from
+    eta.
     """
     delta = max(M.tree.degree)
-    return ZERO_TOL + 4.0 * sys.float_info.epsilon * (delta + 3) ** 2
+    return 2.0 * ZERO_TOL + 4.0 * sys.float_info.epsilon * (delta + 3) ** 2
 
 
 def _initial_bracket(M: WeightedTreeMatrix) -> tuple[float, float]:

@@ -196,10 +196,19 @@ def test_verify_identities_exit_code(capsys):
 
 def test_verify_inertia_checks_the_compiled_kernel(monkeypatch):
     count = cli.count_eigenvalues_greater
-    monkeypatch.setattr(cli, "count_eigenvalues_greater", lambda M, c: count(M, c) + 1)
-    lines = []
-    assert cli.verify_inertia(log=lines.append) is False
-    assert lines[-1].startswith("FAIL inertia")
+    # an off-by-one in the full count, then in the capped count only
+    for off_in_capped in (False, True):
+
+        def off_by_one(M, c, at_most=None):
+            n = count(M, c, at_most)
+            return n + 1 if (at_most is not None) == off_in_capped else n
+
+        monkeypatch.setattr(cli, "count_eigenvalues_greater", off_by_one)
+        lines = []
+        assert cli.verify_inertia(log=lines.append) is False
+        assert lines[-1].startswith("FAIL inertia")
+        kind = "count capped at 1" if off_in_capped else "count_eigenvalues_greater"
+        assert all(kind in line for line in lines[:-1])
 
 
 def test_spectral_radius_subcommand(tmp_path):

@@ -55,6 +55,8 @@ def test_p3_zero_eigenvalue():
 def test_count_eigenvalues_greater_small_cases():
     p2 = a_alpha_weights(make_path(2), 0.0)
     assert count_eigenvalues_greater(p2, 0.0) == 1
+    # the eigenvalue 1 lies 4e-13 above the shift, inside the pivmin band
+    assert count_eigenvalues_greater(p2, 1 - 4e-13) == 1
     p3 = a_alpha_weights(make_path(3), 0.0)
     assert count_eigenvalues_greater(p3, 1.5) == 0
     assert count_eigenvalues_greater(p3, 1.0) == 1
@@ -116,6 +118,10 @@ def test_spectral_radius_simple_values():
     assert spectral_radius(a_alpha_weights(star, 0.0), 1e-12).value == pytest.approx(
         2.0, abs=1e-11
     )
+    # rho(A_alpha(P_2)) = 1 for every alpha; just below 1 the leaf pivot
+    # alpha - c lies in the pivmin band near the radius
+    res = spectral_radius(a_alpha_weights(make_path(2), 0.9999999999999999), 1e-12)
+    assert res.lower < 1.0 <= res.upper
 
 
 def test_spectral_radius_bracket_contract():
@@ -287,7 +293,7 @@ SHARP_SHIFTS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0)
 
 
 def test_count_is_exact_at_eigenvalue_shifts():
-    # the margin bracket cannot see an off-by-one in the zero branch at an
+    # the margin bracket cannot see an off-by-one in the pivmin band at an
     # eigenvalue; the exact count at the eigenvalue itself can
     rng = random.Random(1212)
     on_eigenvalue = 0
@@ -303,7 +309,7 @@ def test_count_is_exact_at_eigenvalue_shifts():
                 on_eigenvalue += 0 in pivots
                 exact = _inertia(pivots)[0]
                 assert count_eigenvalues_greater(M, c) == exact
-                # caps hit in the leaf stage, the spine and the zero branch
+                # caps hit in the leaf stage and the main loop
                 for m in range(exact + 2):
                     assert M.inertia_plan.count_greater(c, at_most=m) == min(exact, m)
     assert on_eigenvalue >= 500

@@ -152,10 +152,14 @@ def test_tree_from_edge_list_round_trip():
 
 
 def test_tree_from_edge_list_errors():
-    with pytest.raises(ValueError):
-        tree_from_edge_list([(0, 1), (2, 3)])  # disconnected
-    with pytest.raises(ValueError):
-        tree_from_edge_list([(0, 1), (1, 2), (2, 0)])  # cycle, wrong count
+    with pytest.raises(ValueError, match="needs exactly n-1 edges"):
+        tree_from_edge_list([(0, 1), (2, 3)])  # disconnected, too few edges
+    with pytest.raises(ValueError, match="needs exactly n-1 edges"):
+        tree_from_edge_list([(0, 1), (1, 2), (2, 0)])  # cycle, too many edges
+    with pytest.raises(ValueError, match=r"vertices must be 0\.\.n-1"):
+        tree_from_edge_list([(1, 2)])  # no vertex 0
+    with pytest.raises(ValueError, match="edge list is not connected"):
+        tree_from_edge_list([(0, 1), (2, 2)])  # a loop in place of a tree edge
 
 
 @pytest.mark.parametrize("root", [3, 5, -1])
