@@ -17,12 +17,12 @@ from typing import Optional
 from .trees import WeightedTreeMatrix
 
 # A pivot with |d| <= ZERO_TOL is replaced by -ZERO_TOL (LAPACK's "pivmin"
-# rule for bisection), so no pivot is zero.  Exact zeros only occur when
-# the shift sits on an eigenvalue of an integer-weighted subtree, which the
-# oracle tests exercise deliberately.
-ZERO_TOL = 5e-13
-
-MAX_BISECT_ITER = 200
+# rule for bisection), so no pivot is zero and every step of a pass is a
+# congruence, at alpha = 1 too.  As in LAPACK it sits near the safe
+# minimum, so 2*ZERO_TOL vanishes in `count_margin`.  Every term w2/d is
+# then at most 1e200 in size (w2 <= 1), so for n < 1e75 no sum overflows
+# and no w2/d underflows (w2 > 0 is at least 2^-106 = 1.2e-32).
+ZERO_TOL = 1e-200
 
 ORACLE_MAX_N = 64
 
@@ -43,11 +43,11 @@ class InertiaPlan:
     The pivots of M - cI, bottom-up: a vertex v gets d_v = alpha*deg(v)
     - c - sum w2/d_u over its children u, with w2 = (1-alpha)^2, and a
     pivot with |d| <= ZERO_TOL becomes -ZERO_TOL before it is used.  No
-    pivot is then zero, so for w2 > 0 the steps are congruences and the
-    positive pivots count the eigenvalues above c of M with a few
-    diagonal entries lowered by at most 2*ZERO_TOL (see `count_margin`);
-    at alpha = 1 (w2 = 0) M is the diagonal D(T), and the count is taken
-    from the diagonal directly.
+    pivot is then zero, so the steps are congruences for every alpha in
+    [0, 1], and the positive pivots count the eigenvalues above c of M
+    with a few diagonal entries lowered by at most 2*ZERO_TOL (see
+    `count_margin`).  At alpha = 1 (w2 = 0) every term w2/d is 0, so the
+    pivots are the diagonal entries of M = D(T) less c.
 
     The plan holds that pass in flat arrays: the vertices that have
     children, plus the root, listed bottom-up as plan indices 0..m-1,
@@ -97,9 +97,6 @@ class InertiaPlan:
         -ZERO_TOL, like any other negative pivot.
         """
         cap = sys.maxsize if at_most is None else at_most
-        if self.w2 == 0.0:  # M = D(T): the pivots are the diagonal less c
-            leaves = sum(self.leaf_counts) if self.alpha > c else 0
-            return min(cap, sum(b > c for b in self.diag) + leaves)
         x = -c
         tol = ZERO_TOL
         w = self.w2
@@ -133,8 +130,7 @@ def count_eigenvalues_greater(
     """Number of eigenvalues of M strictly greater than c, or at most
     at_most of them: the positive pivots of M - cI on the matrix's
     compiled `inertia_plan`, where a pivot with |d| <= ZERO_TOL becomes
-    -ZERO_TOL (at alpha = 1, where M is diagonal, the diagonal entries
-    above c).
+    -ZERO_TOL.
     """
     return M.inertia_plan.count_greater(c, at_most)
 
@@ -150,12 +146,13 @@ def count_margin(M: WeightedTreeMatrix) -> float:
 
     Derivation (the Sturm-count argument of Kahan, and Demmel, Dhillon and
     Ren, ETNA 3, 1995, carried over to trees).  Let u = eps/2 be the unit
-    roundoff and g_k = k u / (1 - k u).  Every float operation is exact
-    up to a factor 1 + delta with |delta| <= u.  The plan computes each
-    pivot as d_v = fl(fl(b_v - c) - s_v), where b_v = fl(alpha deg v) and
-    s_v is the float sum of at most deg v terms fl(w2 / d_u) over the
-    children u (the m leaves of v enter as one term fl(m fl(w2 / t))), and
-    w2 = fl(fl(1 - alpha)^2).  So
+    roundoff and g_k = k u / (1 - k u).  For n < 1e75 no sum overflows
+    and no term w2/d underflows (see ZERO_TOL), so every float operation
+    is exact up to a factor 1 + delta with |delta| <= u.  The plan
+    computes each pivot as d_v = fl(fl(b_v - c) - s_v), where b_v =
+    fl(alpha deg v) and s_v is the float sum of at most deg v terms
+    fl(w2 / d_u) over the children u (the m leaves of v enter as one term
+    fl(m fl(w2 / t))), and w2 = fl(fl(1 - alpha)^2).  So
 
         d_v = (alpha deg v + e_v - c) - sum_u (1 - alpha)^2 (1 + th_u) / d_u
 
@@ -179,9 +176,10 @@ def count_margin(M: WeightedTreeMatrix) -> float:
 
     Weyl's inequality moves every eigenvalue by at most that norm, and Z
     only lowers them, by at most 2 ZERO_TOL, which gives the two
-    inequalities.  eta takes four times the rounding part, which leaves
-    room for the roundings of the shifts that the bisection builds from
-    eta.
+    inequalities with eps (Delta+3)^2 + 2 ZERO_TOL in place of eta.  In
+    floats eta rounds to its rounding part 4 eps (Delta+3)^2, as 2 ZERO_TOL
+    lies far below one ulp of it; the factor 4 covers 2 ZERO_TOL and the
+    roundings of the shifts that the bisection builds from eta.
     """
     delta = max(M.tree.degree)
     return 2.0 * ZERO_TOL + 4.0 * sys.float_info.epsilon * (delta + 3) ** 2
@@ -241,7 +239,7 @@ def spectral_radius(
             passes += 1
             if count_eigenvalues_greater(M, above + 2.0 * eta, at_most=1) == 0:
                 skip_from = above + 4.0 * eta
-    while hi - lo > tol and iters < MAX_BISECT_ITER:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

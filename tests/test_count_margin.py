@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from alpha_limit.diagonalize import count_eigenvalues_greater, count_margin
+from alpha_limit.diagonalize import ZERO_TOL, count_eigenvalues_greater, count_margin
 from alpha_limit.trees import RootedTree, a_alpha_weights
 from exact_inertia import exact_count_greater
 
@@ -68,5 +68,5 @@ def test_eta_grows_with_the_maximum_degree():
     star = RootedTree(n=6, parent=(None, 0, 0, 0, 0, 0), order=(5, 4, 3, 2, 1, 0))
     path = RootedTree(n=3, parent=(None, 0, 1), order=(2, 1, 0))
     eps = np.finfo(float).eps
-    assert count_margin(a_alpha_weights(star, 0.3)) == 1e-12 + 4 * eps * 8**2
-    assert count_margin(a_alpha_weights(path, 0.3)) == 1e-12 + 4 * eps * 5**2
+    assert count_margin(a_alpha_weights(star, 0.3)) == 2 * ZERO_TOL + 4 * eps * 8**2
+    assert count_margin(a_alpha_weights(path, 0.3)) == 2 * ZERO_TOL + 4 * eps * 5**2

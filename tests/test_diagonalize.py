@@ -55,7 +55,7 @@ def test_p3_zero_eigenvalue():
 def test_count_eigenvalues_greater_small_cases():
     p2 = a_alpha_weights(make_path(2), 0.0)
     assert count_eigenvalues_greater(p2, 0.0) == 1
-    # the eigenvalue 1 lies 4e-13 above the shift, inside the pivmin band
+    # the eigenvalue 1 lies only 4e-13 above the shift and is still counted
     assert count_eigenvalues_greater(p2, 1 - 4e-13) == 1
     p3 = a_alpha_weights(make_path(3), 0.0)
     assert count_eigenvalues_greater(p3, 1.5) == 0
@@ -118,8 +118,8 @@ def test_spectral_radius_simple_values():
     assert spectral_radius(a_alpha_weights(star, 0.0), 1e-12).value == pytest.approx(
         2.0, abs=1e-11
     )
-    # rho(A_alpha(P_2)) = 1 for every alpha; just below 1 the leaf pivot
-    # alpha - c lies in the pivmin band near the radius
+    # rho(A_alpha(P_2)) = 1 for every alpha; just below alpha = 1, w2 is
+    # 2^-106 and the leaf pivot alpha - c is near 0 at the radius
     res = spectral_radius(a_alpha_weights(make_path(2), 0.9999999999999999), 1e-12)
     assert res.lower < 1.0 <= res.upper
 
@@ -129,6 +129,12 @@ def test_spectral_radius_bracket_contract():
     assert res.lower <= res.value <= res.upper
     assert res.upper - res.lower <= 1e-10
     assert res.iterations > 0
+    # a tol below one ulp ends when the ends are adjacent floats
+    tree = make_caterpillar((3, 1, 2))
+    for alpha in (0.0, 0.5, 1.0):
+        res = spectral_radius(a_alpha_weights(tree, alpha), 5e-324)
+        assert res.upper == math.nextafter(res.lower, math.inf)
+        assert res.iterations < 64
 
 
 def test_spectral_radius_errors():
@@ -158,6 +164,30 @@ def test_spectral_radius_bounds_hold_on_random_trees():
         )
         assert res.value >= lower - 1e-8
         assert res.value <= delta + 1e-8
+
+
+def test_radius_bracket_holds_the_exact_radius():
+    # the exact count is 0 at the upper end, so rho <= upper.  The lower
+    # end can sit on the radius by rounding (A_alpha(P_2) has rho = 1, and
+    # 1.0 is a midpoint), so there only the proven margin is asked for:
+    # the exact count is >= 1 at lower - eta
+    rng = random.Random(1616)
+    missed = []
+    for i in range(1500):
+        n = rng.randint(2, 40)
+        hubs = (n, 1, rng.randint(2, 4))[i % 3]  # random trees, stars, leafy hubs
+        parent = [None] + [rng.randrange(min(v, hubs)) for v in range(1, n)]
+        tree = RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
+        alpha = (0.0, 0.5, 1.0, rng.random())[(i // 3) % 4]
+        M = a_alpha_weights(tree, alpha)
+        res = spectral_radius(M, 1e-12)
+        lower = Fraction(res.lower) - Fraction(count_margin(M))
+        if not (
+            exact_count_greater(parent, tree.order, alpha, lower) >= 1
+            and exact_count_greater(parent, tree.order, alpha, res.upper) == 0
+        ):
+            missed.append((parent, alpha, res.lower, res.upper))
+    assert missed == []
 
 
 def test_subgraph_monotonicity_nested_caterpillars():
@@ -293,7 +323,7 @@ SHARP_SHIFTS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0)
 
 
 def test_count_is_exact_at_eigenvalue_shifts():
-    # the margin bracket cannot see an off-by-one in the pivmin band at an
+    # the margin bracket cannot see an off-by-one from a zero pivot at an
     # eigenvalue; the exact count at the eigenvalue itself can
     rng = random.Random(1212)
     on_eigenvalue = 0
@@ -352,7 +382,7 @@ def _plain_bisection(M, tol):
     lo -= 1e-9
     hi = delta + 1e-9
     iters = 0
-    while hi - lo > tol and iters < 200:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
