@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alpha_limit.diagonalize import (
+    _initial_bracket,
     count_eigenvalues_greater,
     count_margin,
     dense_spectrum_oracle,
@@ -24,6 +25,7 @@ from alpha_limit.trees import (
     a_alpha_weights,
     make_caterpillar,
     make_path,
+    make_starlike_1nn,
 )
 from exact_inertia import exact_count_greater, exact_pivots
 
@@ -442,11 +444,13 @@ def test_wrong_hints_change_nothing():
 
 
 def test_passes_count_the_inertia_passes():
+    # the Laguerre descent hints these radii itself
     rng = random.Random(43)
     for _ in range(10):
         M = a_alpha_weights(_random_tree(rng, rng.randint(2, 30)), rng.random())
         res = spectral_radius(M, 1e-12)
-        assert res.passes == res.iterations
+        assert (res.lower, res.upper, res.iterations) == _plain_bisection(M, 1e-12)
+        assert res.passes < res.iterations
     M = a_alpha_weights(make_caterpillar(build_shearer(0.1, 2.44, 400).r), 0.1)
     res = spectral_radius(M, 1e-12, above=2.44)
     assert res.passes <= 25 < res.iterations
@@ -456,4 +460,78 @@ def test_passes_count_the_inertia_passes():
         res = spectral_radius(M, 1e-12, above=above)
         assert res.passes <= res.iterations + 2
     res = spectral_radius(M, 1e-12, above=2.0)
-    assert res.passes == res.iterations
+    assert (res.lower, res.upper, res.iterations) == _plain_bisection(M, 1e-12)
+    assert res.passes < res.iterations
+
+
+def _double_broom(m: int, length: int) -> RootedTree:
+    """Two stars K_{1,m} whose centres are joined by a path of `length`
+    edges; the top two eigenvalues nearly coincide."""
+    parent = [None] + list(range(length)) + [0] * m + [length] * m
+    n = len(parent)
+    return RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
+
+
+def _self_hint_trees(rng: random.Random):
+    yield from (make_path(n) for n in (2, 3, 10, 200))
+    yield from (make_caterpillar([m]) for m in (1, 2, 7, 60))  # stars
+    yield from (make_starlike_1nn(n) for n in (1, 4, 40))
+    yield make_caterpillar(build_shearer(0.1, 2.44, 64).r)
+    for _ in range(4):
+        yield make_caterpillar([rng.randint(0, 6) for _ in range(rng.randint(1, 60))])
+    for _ in range(12):
+        yield _random_tree(rng, rng.randint(2, 300))
+    yield from (_double_broom(m, length) for m, length in ((3, 8), (30, 12), (5, 30)))
+
+
+def test_self_hint_replays_the_plain_bisection():
+    rng = random.Random(47)
+    for tree in _self_hint_trees(rng):
+        for alpha in (0.0, 0.5, 1.0, rng.random()):
+            M = a_alpha_weights(tree, alpha)
+            res = spectral_radius(M, 1e-12)
+            assert (res.lower, res.upper, res.iterations) == _plain_bisection(M, 1e-12)
+            if alpha == 1.0:
+                # [Delta - 1e-9, Delta + 1e-9] is already narrower than the
+                # width at which the descent starts
+                assert res.passes == res.iterations == 11
+
+
+def test_self_hint_saves_passes_on_large_trees():
+    rng = random.Random(53)
+    # at T_{1,400,400}, alpha = 0, the descent ends on its last, small step
+    for tree in (make_starlike_1nn(400), make_starlike_1nn(1250), _random_tree(rng, 3000)):
+        for alpha in (0.0, 0.5, rng.random()):
+            res = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
+            assert res.passes <= 20 < res.iterations
+
+
+@pytest.mark.parametrize("m, length", [(3, 8), (10, 8), (40, 3), (30, 12), (30, 30), (5, 30)])
+def test_self_hint_costs_a_double_broom_few_passes(m, length):
+    tree = _double_broom(m, length)
+    for alpha in (0.0, 0.5, 0.1322):
+        res = spectral_radius(a_alpha_weights(tree, alpha), 1e-12)
+        assert res.passes <= res.iterations + 4
+
+
+def test_laguerre_descent_reaches_star_and_p2_radii():
+    for m in (1, 2, 5, 40):  # K_{1,1} = P_2, whose radius is 1
+        for alpha in (0.0, 0.3, 0.5, 0.9):
+            M = a_alpha_weights(make_caterpillar([m]), alpha)
+            rho, delta = _initial_bracket(M)  # the star's radius, closed form
+            est, passes = M.inertia_plan.laguerre_descent(delta + 1e-9, rho - 1.0, 1e-12)
+            assert abs(est - rho) <= 1e-12 and 1 <= passes <= 10
+            if m == 1:
+                assert abs(est - 1.0) <= 1e-12
+
+
+def test_laguerre_descent_returns_at_zero_pivots_and_alpha_1():
+    # the leaf pivot alpha - c is exactly 0.0
+    for tree in (make_path(2), make_caterpillar([3, 1, 2])):
+        plan = a_alpha_weights(tree, 0.5).inertia_plan
+        assert plan.laguerre_descent(0.5, -1.0, 1e-12) == (0.5, 1)
+    star = make_caterpillar([4])
+    plan = a_alpha_weights(star, 1.0).inertia_plan  # M = D(T), w2 = 0
+    assert plan.laguerre_descent(4.0, 0.0, 1e-12) == (4.0, 1)  # the root pivot is 0.0
+    est, passes = plan.laguerre_descent(4.0 + 1e-9, 1.0, 1e-12)
+    assert abs(est - 4.0) <= 1e-12 and passes <= 5
