@@ -1,11 +1,14 @@
 """Closed-form alpha-lambda analysis: fixed points of the rational
 recurrence, the functions F0..F3, the threshold curves tau0, tau1,
-tau1', tau2, and related constants and identities."""
+tau1', tau2, and related constants and identities.
+
+`AlphaLambda` is a read-only named tuple: it unpacks, and compares and
+hashes by value, like a plain tuple of its fields."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -47,31 +50,28 @@ def _core(lam: float, alpha: float) -> tuple[float, float, float, float, float]:
     return disc, sq, theta, theta_prime, delta
 
 
-@dataclass(frozen=True)
-class AlphaLambda:
+class AlphaLambda(
+    NamedTuple(
+        "AlphaLambda",
+        [("alpha", float), ("lam", float), ("delta", float), ("disc", float),
+         ("theta", float), ("theta_prime", float)],
+    )
+):
     """A validated (alpha, lambda) pair with its derived quantities."""
 
-    alpha: float
-    lam: float
-    delta: float = field(init=False)
-    disc: float = field(init=False)
-    theta: float = field(init=False)
-    theta_prime: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
+    def __new__(cls, alpha: float, lam: float):
+        if not 0.0 <= alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if not math.isfinite(self.lam):
+        if not math.isfinite(lam):
             raise ValueError("lambda must be a finite number")
-        if self.lam <= 2.0:
+        if lam <= 2.0:
             raise ValueError("lambda must exceed 2")
-        if self.lam >= 2.0**512:  # where (2*alpha - lam)**2 in _core overflows
+        if lam >= 2.0**512:  # where (2*alpha - lam)**2 in _core overflows
             raise ValueError("lambda must be below 2**512 (about 1.34e154)")
-        disc, _, theta, theta_prime, delta = _core(self.lam, self.alpha)
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta_prime", theta_prime)
-        object.__setattr__(self, "delta", delta)
+        disc, _, theta, theta_prime, delta = _core(lam, alpha)
+        return super().__new__(cls, alpha, lam, delta, disc, theta, theta_prime)
 
 
 def phi(t: float, p: AlphaLambda) -> float:

@@ -6,13 +6,15 @@ Trevisan, LAA 434, 2011); by Sylvester's law of inertia the number of
 positive pivots is the number of eigenvalues of M above c.  Bisection on
 that count brackets the spectral radius, and a dense LAPACK oracle checks
 it on small trees.
+
+`InertiaPlan` and `SpectralRadiusResult` are read-only named tuples: they
+unpack, and compare and hash by value, like plain tuples of their fields.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .trees import WeightedTreeMatrix
 
@@ -30,8 +32,7 @@ ORACLE_MAX_N = 64
 LAGUERRE_WIDTH = 2.0**-6
 
 
-@dataclass(frozen=True)
-class SpectralRadiusResult:
+class SpectralRadiusResult(NamedTuple):
     value: float
     lower: float
     upper: float
@@ -39,8 +40,7 @@ class SpectralRadiusResult:
     passes: int  # inertia passes run: hint probes and descent passes included
 
 
-@dataclass(frozen=True)
-class InertiaPlan:
+class InertiaPlan(NamedTuple):
     """An A_alpha tree matrix compiled once for repeated inertia counts.
 
     The pivots of M - cI, bottom-up: a vertex v gets d_v = alpha*deg(v)

@@ -1,9 +1,11 @@
 """Greedy caterpillar sequences for a target spectral-radius limit, and
-the convergence diagnostics that certify the limit."""
+the convergence diagnostics that certify the limit.
+
+The records returned here are read-only named tuples: they unpack, and
+compare and hash by value, like plain tuples of their fields."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -32,8 +34,7 @@ MAX_K = 100_000
 MAX_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True)
-class ShearerSequence:
+class ShearerSequence(NamedTuple):
     """Pendant counts r_1..r_k and spine diagonal values b_1..b_k."""
 
     params: AlphaLambda
@@ -45,8 +46,7 @@ class ShearerSequence:
         return len(self.r)
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[int, str], ...]  # (1-based index, reason)
     in_unit_band: tuple[bool, ...]  # -1 + alpha < b_j, per index
@@ -60,16 +60,14 @@ class PairingEntry(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     ok: bool
     bound: float  # (1 - alpha)^2
     pairs: tuple[PairingEntry, ...]
     runs: tuple[tuple[int, int], ...]  # zero runs as (first, last), 1-based
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     alpha: float
     lam: float
     regime: str  # above-tau2 | tau1-interval | exploratory

@@ -1,29 +1,28 @@
 """Rooted tree constructors and A_alpha weightings.
 
 Vertex indices are 0-based; the CLI's edge-list files are 1-based.
+`RootedTree` and `WeightedTreeMatrix` are read-only named tuples: they
+unpack, and compare and hash by value, like plain tuples of their fields.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(
+    NamedTuple(
+        "RootedTree",
+        [("n", int), ("parent", tuple[Optional[int], ...]), ("order", tuple[int, ...])],
+    )
+):
     """A tree given by parent links plus a bottom-up processing order.
 
     `parent[v]` is None exactly for the root.  `order` is a permutation of
     the vertices in which every vertex appears before its parent.
     """
 
-    n: int
-    parent: tuple[Optional[int], ...]
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        n, parent, order = self.n, self.parent, self.order
+    def __new__(cls, n: int, parent: tuple[Optional[int], ...], order: tuple[int, ...]):
         if n < 1 or len(parent) != n or len(order) != n:
             raise ValueError("inconsistent tree sizes")
         roots = parent.count(None)
@@ -33,14 +32,15 @@ class RootedTree:
         links = parent[:root] + parent[root + 1 :]
         if links and (min(links) < 0 or max(links) >= n):
             raise ValueError("parent links must be vertices 0..n-1")
-        if sorted(order) != list(range(n)):
+        if len(set(order)) != n or min(order) != 0 or max(order) != n - 1:
             raise ValueError("order is not a permutation of the vertices")
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        for v, p in enumerate(parent):
-            if p is not None and pos[v] >= pos[p]:
+        seen = [False] * n
+        for v in order:
+            seen[v] = True
+            p = parent[v]
+            if p is not None and seen[p]:
                 raise ValueError(f"order is not bottom-up at vertex {v}")
+        return super().__new__(cls, n, parent, order)
 
     @property
     def root(self) -> int:
@@ -56,25 +56,23 @@ class RootedTree:
 
     @cached_property
     def degree(self) -> tuple[int, ...]:
-        return tuple(
-            c + (p is not None) for c, p in zip(self.child_count, self.parent)
-        )
+        count, parent = self.child_count, self.parent
+        return tuple([c + (p is not None) for c, p in zip(count, parent)])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, 0-based."""
         return [(v, p) for v, p in enumerate(self.parent) if p is not None]
 
 
-@dataclass(frozen=True)
-class WeightedTreeMatrix:
+class WeightedTreeMatrix(
+    NamedTuple("WeightedTreeMatrix", [("tree", RootedTree), ("alpha", float)])
+):
     """A_alpha(T) = alpha*D(T) + (1-alpha)*A(T) of a rooted tree T."""
 
-    tree: RootedTree
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+    def __new__(cls, tree: RootedTree, alpha: float):
+        if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        return super().__new__(cls, tree, alpha)
 
     @cached_property
     def inertia_plan(self):
@@ -155,9 +153,9 @@ def tree_from_edge_list(pairs: Sequence[tuple[int, int]], root: Optional[int] = 
     The root defaults to the smallest vertex index.  The bottom-up order
     is a reversed breadth-first traversal from the root.
     """
-    verts = sorted({u for e in pairs for u in e})
-    n = len(verts)
-    if verts != list(range(n)):
+    labels = {u for e in pairs for u in e}
+    n = len(labels)
+    if labels != set(range(n)):
         raise ValueError("vertices must be 0..n-1")
     if len(pairs) != n - 1:
         raise ValueError("a tree on n vertices needs exactly n-1 edges")
@@ -171,16 +169,13 @@ def tree_from_edge_list(pairs: Sequence[tuple[int, int]], root: Optional[int] = 
     parent: list[Optional[int]] = [None] * n
     seen = [False] * n
     seen[r] = True
-    queue = deque([r])
-    bfs = []
-    while queue:
-        u = queue.popleft()
-        bfs.append(u)
+    bfs = [r]
+    for u in bfs:  # the list grows as the search reaches new vertices
         for w in adj[u]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = u
-                queue.append(w)
-    if not all(seen):
+                bfs.append(w)
+    if len(bfs) < n:
         raise ValueError("edge list is not connected")
     return RootedTree(n=n, parent=tuple(parent), order=tuple(reversed(bfs)))

@@ -43,6 +43,16 @@ def test_alpha_lambda_validation():
             AlphaLambda(0.1, lam)
 
 
+def test_alpha_lambda_is_a_read_only_value():
+    p = AlphaLambda(0.1, 2.44)
+    assert p == AlphaLambda(0.1, 2.44) == AlphaLambda(alpha=0.1, lam=2.44)
+    assert hash(p) == hash(AlphaLambda(0.1, 2.44))
+    with pytest.raises(AttributeError):
+        p.lam = 2.5
+    with pytest.raises(AttributeError):
+        p.extra = 1.0
+
+
 def test_fixed_point_algebra():
     for a, lam in [(0.0, 2.1), (0.1, 2.44), (0.3, 5.0), (0.49, 40.0)]:
         p = AlphaLambda(a, lam)

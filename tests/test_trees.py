@@ -143,6 +143,19 @@ def test_rooted_tree_validation():
             RootedTree(n=2, parent=(link, None), order=(0, 1))
 
 
+def test_tree_records_are_read_only_values():
+    tree = RootedTree(n=3, parent=(1, 2, None), order=(0, 1, 2))
+    assert tree == make_path(3) and hash(tree) == hash(make_path(3))
+    M = a_alpha_weights(tree, 0.25)
+    assert M == WeightedTreeMatrix(tree=make_path(3), alpha=0.25)
+    with pytest.raises(AttributeError):
+        tree.parent = (None, 0, 1)
+    with pytest.raises(AttributeError):
+        M.alpha = 0.5
+    assert tree.degree is tree.degree and tree.child_count is tree.child_count
+    assert M.inertia_plan is M.inertia_plan
+
+
 def test_tree_from_edge_list_round_trip():
     tree = make_caterpillar((2, 0, 3))
     rebuilt = tree_from_edge_list(tree.edges(), root=tree.root)
