@@ -57,7 +57,9 @@ class InertiaPlan(NamedTuple):
     with their diagonal entries alpha*deg and the plan index of their
     parent (m for the root, a scratch slot).  Every leaf has the diagonal
     entry alpha, so all leaves share one pivot and are folded into a
-    count per parent.
+    count per parent.  All but the diagonal is the tree's alpha-free
+    `layout` (`trees.TreeLayout`), which a caterpillar gets in O(k) from
+    its pendant counts.
     """
 
     alpha: float
@@ -69,23 +71,15 @@ class InertiaPlan(NamedTuple):
 
     @classmethod
     def compile(cls, M: WeightedTreeMatrix) -> "InertiaPlan":
-        tree, alpha = M.tree, M.alpha
-        count, up, degree = tree.child_count, tree.parent, tree.degree
-        inner = [v for v in tree.order[:-1] if count[v]] + [tree.root]
-        index = [0] * tree.n
-        for i, v in enumerate(inner):
-            index[v] = i
-        parent = [index[up[v]] for v in inner[:-1]] + [len(inner)]
-        leaves = [count[v] for v in inner]  # children that are not inner
-        for p in parent[:-1]:
-            leaves[p] -= 1
+        """The tree's alpha-free `layout`, its degrees scaled by alpha."""
+        layout, alpha = M.tree.layout, M.alpha
         return cls(
             alpha=alpha,
             w2=(1.0 - alpha) ** 2,
-            diag=tuple(alpha * degree[v] for v in inner),
-            parent=tuple(parent),
-            leaf_parents=tuple(i for i, m in enumerate(leaves) if m),
-            leaf_counts=tuple(m for m in leaves if m),
+            diag=tuple([alpha * g for g in layout.degree]),
+            parent=layout.parent,
+            leaf_parents=layout.leaf_parents,
+            leaf_counts=layout.leaf_counts,
         )
 
     def count_greater(self, c: float, at_most: Optional[int] = None) -> int:
@@ -258,7 +252,7 @@ def count_margin(M: WeightedTreeMatrix) -> float:
     lies far below one ulp of it; the factor 4 covers 2 ZERO_TOL and the
     roundings of the shifts that the bisection builds from eta.
     """
-    delta = max(M.tree.degree)
+    delta = M.tree.layout.max_degree
     return 2.0 * ZERO_TOL + 4.0 * sys.float_info.epsilon * (delta + 3) ** 2
 
 
@@ -266,7 +260,7 @@ def _initial_bracket(M: WeightedTreeMatrix) -> tuple[float, float]:
     """Bounds on rho(A_alpha(T)) for a tree of maximum degree delta: the
     star K_{1,delta} it contains from below, delta from above."""
     a = M.alpha
-    delta = max(M.tree.degree)
+    delta = M.tree.layout.max_degree
     lo = 0.5 * (
         a * (delta + 1)
         + math.sqrt(a * a * (delta + 1) ** 2 + 4 * delta * (1 - 2 * a))

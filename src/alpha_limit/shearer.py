@@ -92,11 +92,11 @@ def _spine(
     on a caterpillar, leaf pivots folded in.
 
     b_j = phi(b_{j-1}) + r_j*delta, with phi replaced by alpha - lam at
-    j = 1; the last vertex has one neighbour fewer, so its value carries
-    an extra -alpha.  With r given the counts are replayed; otherwise each
-    r_j is the largest count that keeps b_j below tp.  The float
-    operations and their order are pinned bit for bit by the golden spine
-    values in the tests.
+    j = 1; the last vertex, `_last_vertex`, has one neighbour fewer, so
+    its value carries an extra -alpha.  With r given the counts are
+    replayed; otherwise each r_j is the largest count that keeps b_j
+    below tp.  The float operations and their order are pinned bit for
+    bit by the golden spine values in the tests.
 
     In exact arithmetic every greedy b_j < tp < 0 and every r_j >= 0.  At
     large lam, cancellation in b_j can break that in floats; a b_j that
@@ -104,26 +104,46 @@ def _spine(
     """
     one_a2 = (1.0 - alpha) ** 2
     d = alpha + one_a2 / (lam - alpha)
-    bj = None
+    c = 2.0 * alpha - lam
+    floor = math.floor
+    ph = alpha - lam
     try:
-        for j in range(1, k + 1):
-            ph = alpha - lam if j == 1 else 2.0 * alpha - lam - one_a2 / bj
-            extra = alpha if j == k else 0.0
+        for j in range(1, k):
             if r is None:
-                rj = math.floor((tp - ph + extra) / d + FLOOR_NUDGE)
+                rj = floor((tp - ph) / d + FLOOR_NUDGE)
                 if rj < 0:
-                    raise ValueError(
-                        "float breakdown in the spine recurrence: negative"
-                        f" pendant count r_{j} = {rj}"
-                    )
+                    raise _negative_count(j, rj)
             else:
                 rj = r[j - 1]
-            bj = ph - extra + rj * d
+            bj = ph + rj * d
             yield rj, bj
+            ph = c - one_a2 / bj
     except ZeroDivisionError:
         raise ValueError(
-            f"float breakdown in the spine recurrence: b_{j - 1} rounds to 0"
+            f"float breakdown in the spine recurrence: b_{j} rounds to 0"
         ) from None
+    if k >= 1:
+        yield _last_vertex(alpha, d, tp, ph, k, None if r is None else r[k - 1])
+
+
+def _last_vertex(
+    alpha: float, d: float, tp: Optional[float], ph: float, k: int, rk: Optional[int] = None
+) -> tuple[int, float]:
+    """(r_k, b_k) of the last spine vertex v_k, from ph = phi(b_{k-1}) (or
+    alpha - lam at k = 1): v_k has one neighbour fewer, so b_k carries an
+    extra -alpha.  With rk None, r_k is the largest count that keeps b_k
+    below tp."""
+    if rk is None:
+        rk = math.floor((tp - ph + alpha) / d + FLOOR_NUDGE)
+        if rk < 0:
+            raise _negative_count(k, rk)
+    return rk, ph - alpha + rk * d
+
+
+def _negative_count(j: int, rj: int) -> ValueError:
+    return ValueError(
+        f"float breakdown in the spine recurrence: negative pendant count r_{j} = {rj}"
+    )
 
 
 def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
@@ -139,6 +159,22 @@ def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
     p = AlphaLambda(alpha, lam)
     r, b = zip(*_spine(alpha, lam, k, tp=p.theta_prime))
     return ShearerSequence(params=p, r=r, b=b)
+
+
+def _rung(top: ShearerSequence, k: int) -> ShearerSequence:
+    """G_k from the greedy G_K of the same point, for 1 <= k <= K.
+
+    Only the last spine vertex carries -alpha, so r_1..r_{k-1} and
+    b_1..b_{k-1} of G_k are those of G_K; only v_k's floor is its own.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == top.k:
+        return top
+    p = top.params
+    ph = p.alpha - p.lam if k == 1 else at.phi(top.b[k - 2], p)
+    rk, bk = _last_vertex(p.alpha, p.delta, p.theta_prime, ph, k)
+    return ShearerSequence(p, top.r[: k - 1] + (rk,), top.b[: k - 1] + (bk,))
 
 
 def zero_runs(r: Sequence[int]) -> list[tuple[int, int]]:
@@ -196,8 +232,10 @@ def _past_root(seq: ShearerSequence, j: int, eps: float) -> bool:
     spine), so the predicate is monotone on all of (0, lam - alpha).
     """
     p = seq.params
-    spine = _spine(p.alpha, p.lam - eps, seq.k, r=seq.r)
-    return any(bj >= 0.0 for _, bj in islice(spine, j))
+    for _, bj in islice(_spine(p.alpha, p.lam - eps, seq.k, r=seq.r), j):
+        if bj >= 0.0:
+            return True
+    return False
 
 
 def epsilon_roots(seq: ShearerSequence, j_list: Iterable[int]) -> list[float]:
@@ -328,6 +366,9 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Build G_k for each sampled k and measure the approach to lam.
 
+    Only the largest G_k runs the greedy; every smaller one is its
+    prefix plus one last-vertex floor (`_rung`).
+
     The reported gap is lam minus the certified lower bracket end of the
     bisection, so it is a strict upper bound on the true gap and stays
     positive even when the spectral radius agrees with lam to within the
@@ -349,7 +390,8 @@ def convergence_report(
                 " --exploratory (exploratory=True) to probe it anyway"
             )
         regime = "exploratory"
-    seqs = [build_shearer(alpha, lam, k) for k in ks]
+    top = build_shearer(alpha, lam, ks[-1]) if ks else None
+    seqs = [_rung(top, k) for k in ks]
     for seq in seqs:
         n = seq.k + sum(seq.r)
         if n > MAX_VERTICES:

@@ -7,7 +7,21 @@ unpack, and compare and hash by value, like plain tuples of their fields.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, compress, repeat
 from typing import NamedTuple, Optional, Sequence
+
+
+class TreeLayout(NamedTuple):
+    """The alpha-free part of an inertia plan (`diagonalize.InertiaPlan`):
+    its vertices' degrees in place of their diagonal entries, and the
+    maximum degree Delta of the tree, the largest listed degree (every
+    vertex not listed is a leaf)."""
+
+    degree: tuple[int, ...]
+    parent: tuple[int, ...]
+    leaf_parents: tuple[int, ...]
+    leaf_counts: tuple[int, ...]
+    max_degree: int
 
 
 class RootedTree(
@@ -59,6 +73,20 @@ class RootedTree(
         count, parent = self.child_count, self.parent
         return tuple([c + (p is not None) for c, p in zip(count, parent)])
 
+    @cached_property
+    def layout(self) -> TreeLayout:
+        """The tree laid out for inertia counts, in one linear walk."""
+        count, up, degree = self.child_count, self.parent, self.degree
+        inner = [v for v in self.order[:-1] if count[v]] + [self.root]
+        index = [0] * self.n
+        for i, v in enumerate(inner):
+            index[v] = i
+        parent = [index[up[v]] for v in inner[:-1]] + [len(inner)]
+        leaves = [count[v] for v in inner]  # children that are not inner
+        for p in parent[:-1]:
+            leaves[p] -= 1
+        return _layout(tuple([degree[v] for v in inner]), tuple(parent), leaves)
+
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, 0-based."""
         return [(v, p) for v, p in enumerate(self.parent) if p is not None]
@@ -98,18 +126,43 @@ def make_caterpillar(r: Sequence[int]) -> RootedTree:
     Spine vertices take indices 0..k-1; leaves follow, grouped by spine
     vertex.  The bottom-up order lists all leaves first, then the spine
     from v_1 up to v_k, so that the inertia pass visits the spine in the
-    natural order.
+    natural order.  The tree's `layout` is filled in from r, in O(k).
     """
     k = len(r)
     if k < 1:
         raise ValueError("need at least one spine vertex")
-    if any(ri < 0 for ri in r):
+    if min(r) < 0:
         raise ValueError("pendant counts must be non-negative")
     n = k + sum(r)
-    leaf_parents = tuple(i for i, ri in enumerate(r) for _ in range(ri))
+    leaf_parents = tuple(chain.from_iterable(map(repeat, range(k), r)))
     parent = tuple(range(1, k)) + (None,) + leaf_parents
     order = tuple(range(k, n)) + tuple(range(k))
-    return RootedTree(n=n, parent=parent, order=order)
+    tree = RootedTree(n=n, parent=parent, order=order)
+    vars(tree)["layout"] = _caterpillar_layout(r)  # seeds the cached property
+    return tree
+
+
+def _caterpillar_layout(r: Sequence[int]) -> TreeLayout:
+    """`RootedTree.layout` of `make_caterpillar(r)`, in O(k) from r.
+
+    The plan lists the spine v_1..v_k, except a bare v_1 (r_1 = 0, k > 1),
+    which is then a leaf of v_2.  v_i has degree r_i + 2 less one at
+    either end of the spine, and each listed vertex's parent is the next.
+    """
+    degree = [ri + 2 for ri in r]
+    degree[0] -= 1
+    degree[-1] -= 1
+    leaves = list(r)
+    if len(r) > 1 and r[0] == 0:
+        del degree[0], leaves[0]
+        leaves[0] += 1
+    return _layout(tuple(degree), tuple(range(1, len(degree) + 1)), leaves)
+
+
+def _layout(degree: tuple[int, ...], parent: tuple[int, ...], leaves: list[int]) -> TreeLayout:
+    """A `TreeLayout` from its degrees, parents and a leaf count per vertex."""
+    leaf_parents = tuple(compress(range(len(leaves)), leaves))
+    return TreeLayout(degree, parent, leaf_parents, tuple(filter(None, leaves)), max(degree))
 
 
 def make_starlike_1nn(n: int) -> RootedTree:

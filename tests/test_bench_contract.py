@@ -35,17 +35,26 @@ def test_traced_targets_resolve_to_callables():
 
 def test_convergence_report_calls_through_shearer_globals(monkeypatch):
     calls = {"make_caterpillar": 0, "a_alpha_weights": 0, "spectral_radius": 0}
+    sizes = []  # the tracer reads args[0].tree.n of every spectral_radius call
 
     def counting(name):
         fn = getattr(shearer, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "spectral_radius":
+                sizes.append(args[0].tree.n)
             return fn(*args, **kwargs)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(shearer, name, counting(name))
-    shearer.convergence_report(0.1, 2.44, [8])
-    assert calls == {"make_caterpillar": 1, "a_alpha_weights": 1, "spectral_radius": 1}
+    for ladder in ([8], [8, 16]):  # one call of each per rung
+        calls.update(dict.fromkeys(calls, 0))
+        sizes.clear()
+        rep = shearer.convergence_report(0.1, 2.44, ladder)
+        rungs = len(ladder)
+        assert calls == {"make_caterpillar": rungs, "a_alpha_weights": rungs, "spectral_radius": rungs}
+        assert [seq.k for seq in rep.sequences] == ladder
+        assert sizes == [seq.k + sum(seq.r) for seq in rep.sequences]

@@ -3,7 +3,9 @@
 `reference_plan` builds the plan the slow way, from a tree's parent links
 and bottom-up order only, with child lists and dicts, and imports nothing
 from `alpha_limit.diagonalize`.  The package's `InertiaPlan.compile` must
-give the same tuples and the same float bits on every tree."""
+give the same tuples and the same float bits on every tree, both from the
+layout `make_caterpillar` seeds from the pendant counts and from the
+generic walk over the same tree."""
 from __future__ import annotations
 
 import random
@@ -95,13 +97,37 @@ def _trees():
     return cases
 
 
+def _rebuilt(tree: RootedTree) -> RootedTree:
+    """The same tree without the layout `make_caterpillar` seeds, so that
+    its layout comes from the generic walk."""
+    return RootedTree(tree.n, tree.parent, tree.order)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_compile_matches_reference(alpha):
-    for name, tree in _trees():
-        M = a_alpha_weights(tree, alpha)
-        plan = M.inertia_plan
-        want, degree = reference_plan(tree.parent, tree.order, alpha)
-        for field, value in want.items():
-            assert _bits(getattr(plan, field)) == _bits(value), (name, field)
-        assert plan.alpha == alpha
-        assert tree.degree == degree, name
+    for name, seeded in _trees():
+        want, degree = reference_plan(seeded.parent, seeded.order, alpha)
+        for tree in (seeded, _rebuilt(seeded)):
+            plan = a_alpha_weights(tree, alpha).inertia_plan
+            for field, value in want.items():
+                assert _bits(getattr(plan, field)) == _bits(value), (name, field)
+            assert plan.alpha == alpha
+            assert tree.degree == degree, name
+            assert tree.layout.max_degree == max(degree), name
+
+
+def _caterpillar_counts():
+    rng = random.Random(31)
+    cases = [(m,) for m in (0, 1, 40)]  # k = 1
+    cases += [(0, 0), (0, 3), (2, 0), (1, 1)]  # k = 2
+    cases += [(0,) + tuple(rng.randint(0, 4) for _ in range(rng.randint(2, 12))) for _ in range(8)]
+    cases += [tuple(rng.choice((0, 0, 1, 5)) for _ in range(rng.randint(1, 30))) for _ in range(30)]
+    for a, lam in ((0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181)):
+        cases += [build_shearer(a, lam, k).r for k in (1, 2, 17, 200)]
+    return cases
+
+
+@pytest.mark.parametrize("r", _caterpillar_counts())
+def test_caterpillar_layout_is_the_generic_layout(r):
+    tree = make_caterpillar(r)
+    assert tree.layout == _rebuilt(tree).layout

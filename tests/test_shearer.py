@@ -14,6 +14,7 @@ from alpha_limit.diagonalize import spectral_radius
 from alpha_limit.shearer import (
     MAX_K,
     MAX_VERTICES,
+    _rung,
     _spine,
     build_shearer,
     classify_regime,
@@ -34,6 +35,8 @@ def test_build_validation():
         build_shearer(0.1, 2.44, 0)
     with pytest.raises(ValueError):
         build_shearer(0.1, 1.9, 5)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        convergence_report(0.1, 2.44, [0, 5])  # a rung below the top one
 
 
 def test_convergence_report_hints_the_radius_with_lambda(monkeypatch):
@@ -71,6 +74,28 @@ def test_spine_replay_reproduces_greedy_build(k):
         r, b = zip(*_spine(a, lam, k, r=seq.r))
         assert r == seq.r
         assert [x.hex() for x in b] == [x.hex() for x in seq.b]
+
+
+LADDER_POINTS = [(0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181)]
+
+
+def _bits(seq):
+    return seq.r, [x.hex() for x in seq.b]
+
+
+@pytest.mark.parametrize("a, lam", LADDER_POINTS)
+def test_every_rung_of_the_top_build_is_the_greedy_build(a, lam):
+    # only v_k carries -alpha, so G_k is G_400's prefix plus its own last floor
+    top = build_shearer(a, lam, 400)
+    for k in range(1, 401):
+        assert _bits(_rung(top, k)) == _bits(build_shearer(a, lam, k)), k
+
+
+@pytest.mark.parametrize("ks", [[1, 2, 7, 100], [25, 50, 100, 200, 400]])
+@pytest.mark.parametrize("a, lam", LADDER_POINTS)
+def test_report_sequences_match_independent_builds(a, lam, ks):
+    rep = convergence_report(a, lam, ks)
+    assert [_bits(seq) for seq in rep.sequences] == [_bits(build_shearer(a, lam, k)) for k in ks]
 
 
 def test_spine_matches_diagonalize_small_k():
