@@ -6,8 +6,7 @@ compare and hash by value, like plain tuples of their fields."""
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import alpha_theory as at
 from .alpha_theory import AlphaLambda
@@ -87,16 +86,18 @@ def _spine(
     k: int,
     r: Optional[Sequence[int]] = None,
     tp: Optional[float] = None,
-) -> Iterator[tuple[int, float]]:
-    """Yield (r_j, b_j) for j = 1..k: the spine pivots of A_alpha - lam*I
-    on a caterpillar, leaf pivots folded in.
+    stop: Optional[int] = None,
+) -> tuple[list[int], list[float]]:
+    """Lists r_j and b_j for j = 1..stop (default k): the spine pivots of
+    A_alpha - lam*I on a caterpillar of spine length k, leaf pivots folded in.
 
     b_j = phi(b_{j-1}) + r_j*delta, with phi replaced by alpha - lam at
     j = 1; the last vertex, `_last_vertex`, has one neighbour fewer, so
     its value carries an extra -alpha.  With r given the counts are
-    replayed; otherwise each r_j is the largest count that keeps b_j
-    below tp.  The float operations and their order are pinned bit for
-    bit by the golden spine values in the tests.
+    replayed, and the replay ends right after its first b_j >= 0;
+    otherwise each r_j is the largest count that keeps b_j below tp.  The
+    float operations and their order are pinned bit for bit by the golden
+    spine values in the tests.
 
     In exact arithmetic every greedy b_j < tp < 0 and every r_j >= 0.  At
     large lam, cancellation in b_j can break that in floats; a b_j that
@@ -107,8 +108,10 @@ def _spine(
     c = 2.0 * alpha - lam
     floor = math.floor
     ph = alpha - lam
+    n = stop or k
+    rs, bs = [], []
     try:
-        for j in range(1, k):
+        for j in range(1, min(n + 1, k)):
             if r is None:
                 rj = floor((tp - ph) / d + FLOOR_NUDGE)
                 if rj < 0:
@@ -116,14 +119,20 @@ def _spine(
             else:
                 rj = r[j - 1]
             bj = ph + rj * d
-            yield rj, bj
+            rs.append(rj)
+            bs.append(bj)
+            if bj >= 0.0 and r is not None:
+                return rs, bs
             ph = c - one_a2 / bj
     except ZeroDivisionError:
         raise ValueError(
             f"float breakdown in the spine recurrence: b_{j} rounds to 0"
         ) from None
-    if k >= 1:
-        yield _last_vertex(alpha, d, tp, ph, k, None if r is None else r[k - 1])
+    if n >= k >= 1:
+        rk, bk = _last_vertex(alpha, d, tp, ph, k, None if r is None else r[k - 1])
+        rs.append(rk)
+        bs.append(bk)
+    return rs, bs
 
 
 def _last_vertex(
@@ -157,8 +166,8 @@ def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
     if k < 1:
         raise ValueError("k must be >= 1")
     p = AlphaLambda(alpha, lam)
-    r, b = zip(*_spine(alpha, lam, k, tp=p.theta_prime))
-    return ShearerSequence(params=p, r=r, b=b)
+    r, b = _spine(alpha, lam, k, tp=p.theta_prime)
+    return ShearerSequence(params=p, r=tuple(r), b=tuple(b))
 
 
 def _rung(top: ShearerSequence, k: int) -> ShearerSequence:
@@ -202,16 +211,18 @@ def verify_window(seq: ShearerSequence) -> WindowReport:
     """
     p = seq.params
     tp = p.theta_prime
-    d = p.delta
     a, k = p.alpha, seq.k
+    lo = tp - p.delta
     viol: list[tuple[int, str]] = []
     for j, bj in enumerate(seq.b, start=1):
-        lo = tp - d - (a if j == k else 0.0)
+        if j == k:
+            lo -= a
         if not bj < tp:
             viol.append((j, f"b_{j} = {bj} not below theta_prime = {tp}"))
         if not bj >= lo - _WINDOW_SLACK:
             viol.append((j, f"b_{j} = {bj} below maximality floor {lo}"))
-    in_band = tuple(-1.0 + a < bj for bj in seq.b)
+    band = -1.0 + a
+    in_band = tuple([band < bj for bj in seq.b])
     runs = zero_runs(seq.r)
     max_run = max((last - first + 1 for first, last in runs), default=0)
     return WindowReport(
@@ -226,24 +237,26 @@ def _past_root(seq: ShearerSequence, j: int, eps: float) -> bool:
     """True iff eps lies at or beyond the smallest positive root of
     b_j(eps), i.e. lambda - eps is at or below rho of the j-prefix.
 
-    The spine values are recomputed with lambda -> lambda - eps and fixed
-    pendant counts; if any earlier value turns non-negative, eps has
+    The spine values b_1..b_j are recomputed with lambda -> lambda - eps
+    and fixed pendant counts, ending at the first non-negative one, so the
+    last value decides.  A non-negative earlier value means eps has
     already passed that vertex's root (the roots decrease along the
     spine), so the predicate is monotone on all of (0, lam - alpha).
     """
     p = seq.params
-    for _, bj in islice(_spine(p.alpha, p.lam - eps, seq.k, r=seq.r), j):
-        if bj >= 0.0:
-            return True
-    return False
+    return _spine(p.alpha, p.lam - eps, seq.k, r=seq.r, stop=j)[1][-1] >= 0.0
 
 
 def epsilon_roots(seq: ShearerSequence, j_list: Iterable[int]) -> list[float]:
     """Smallest positive roots eps_j of the perturbed spine values.
 
-    Each root is bisected on (0, eps_0) with eps_0 = lam - alpha; the
-    roots form a strictly decreasing sequence in j.  eps_k equals the
-    true gap lam - rho(G_k), up to the bisection tolerance.
+    Each root is bisected on (0, eps_0) with eps_0 = lam - alpha down to
+    the absolute tolerance EPS_BISECT_TOL; the roots form a strictly
+    decreasing sequence in j.  eps_k equals the true gap lam - rho(G_k)
+    only to within that 1e-13, so a smaller root is bisection noise: at
+    (0.1, 2.44) every k past about 80 returns 3.3e-14, k = 100 and
+    k = 10**5 alike.  There `sigma_bound`, an upper bound on eps_k, is the
+    better estimate; certified roots are ROADMAP Direction 4.
     """
     wanted = list(j_list)
     if not wanted:
@@ -289,8 +302,8 @@ def divergence_sum(seq: ShearerSequence) -> float:
     """
     one_a2 = (1.0 - seq.params.alpha) ** 2
     s = 0.0
-    for j in range(seq.k - 1):
-        s = one_a2 / seq.b[j] ** 2 * (1.0 + s)
+    for bj in seq.b[:-1]:
+        s = one_a2 / bj ** 2 * (1.0 + s)
         if s > QK_CAP:
             return QK_CAP
     return s
@@ -314,6 +327,7 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
         raise ValueError(f"pairing argument needs the tau1 regime: {miss}")
     bound = (1.0 - a) ** 2
     k, b = seq.k, seq.b
+    entry = tuple.__new__  # PairingEntry(...) without its keyword handling
     pairs: list[PairingEntry] = []
     runs = [run for run in zero_runs(seq.r) if run[1] < k]
     for first, last in runs:
@@ -326,7 +340,7 @@ def pairing_check(seq: ShearerSequence) -> PairingReport:
             if left < 1 or right >= k:
                 break
             prod = b[left - 1] * b[right - 1]
-            pairs.append(PairingEntry(left, right, prod, prod < bound))
+            pairs.append(entry(PairingEntry, (left, right, prod, prod < bound)))
     ok = all(p.ok for p in pairs)
     return PairingReport(ok=ok, bound=bound, pairs=tuple(pairs), runs=tuple(runs))
 
