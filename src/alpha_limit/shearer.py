@@ -13,10 +13,6 @@ from .alpha_theory import AlphaLambda
 from .diagonalize import spectral_radius
 from .trees import a_alpha_weights, make_caterpillar
 
-# Guards floor() against values that are mathematically integral landing
-# one ulp below; a flipped r_j would change the entire tail.
-FLOOR_NUDGE = 1e-12
-
 # Saturation cap for the divergence sum.
 QK_CAP = 1e300
 
@@ -26,9 +22,9 @@ _WINDOW_SLACK = 1e-9
 
 # Largest G_k that convergence_report builds, by spine length and by
 # vertex count (Python 3.11, one Xeon core): k = MAX_K at (0.1, 2.44),
-# 181 893 vertices, takes 0.6 s; a leafy G_k of nearly MAX_VERTICES
-# vertices (alpha = 0, lambda = 60, k = 892: 998 737) takes 0.9 s and
-# 115 MB.
+# 181 893 vertices, takes 0.22-0.25 s; a leafy G_k of nearly MAX_VERTICES
+# vertices (alpha = 0, lambda = 60, k = 892: 998 737) takes 0.31-0.32 s
+# and 131 MB of peak RSS.
 MAX_K = 100_000
 MAX_VERTICES = 1_000_000
 
@@ -87,72 +83,53 @@ def _spine(
     r: Optional[Sequence[int]] = None,
     tp: Optional[float] = None,
     stop: Optional[int] = None,
+    prev: Optional[float] = None,
 ) -> tuple[list[int], list[float]]:
     """Lists r_j and b_j for j = 1..stop (default k): the spine pivots of
     A_alpha - lam*I on a caterpillar of spine length k, leaf pivots folded in.
 
     b_j = phi(b_{j-1}) + r_j*delta, with phi replaced by alpha - lam at
-    j = 1; the last vertex, `_last_vertex`, has one neighbour fewer, so
-    its value carries an extra -alpha.  With r given the counts are
-    replayed, and the replay ends right after its first b_j >= 0;
-    otherwise each r_j is the largest count that keeps b_j below tp.  The
-    float operations and their order are pinned bit for bit by the golden
-    spine values in the tests.
+    j = 1 (by phi(prev) when the value before v_1 is given); the last
+    vertex v_k has one neighbour fewer, so its phi carries an extra
+    -alpha.  With r given the counts are replayed, and the replay ends
+    right after its first b_j >= 0; otherwise each r_j is the largest
+    count that keeps b_j below tp: the floor of (tp - phi)/delta, lowered
+    once when b_j fails that test.  The float operations and their order
+    are pinned bit for bit by the golden spine values in the tests.
 
     In exact arithmetic every greedy b_j < tp < 0 and every r_j >= 0.  At
-    large lam, cancellation in b_j can break that in floats; a b_j that
-    rounds to 0 or a negative r_j raises ValueError instead.
+    large lam, cancellation in b_j can break that in floats; then no
+    count passes the test and ValueError is raised.
     """
     one_a2 = (1.0 - alpha) ** 2
     d = alpha + one_a2 / (lam - alpha)
     c = 2.0 * alpha - lam
     floor = math.floor
-    ph = alpha - lam
-    n = stop or k
+    ph = alpha - lam if prev is None else c - one_a2 / prev
     rs, bs = [], []
-    try:
-        for j in range(1, min(n + 1, k)):
-            if r is None:
-                rj = floor((tp - ph) / d + FLOOR_NUDGE)
-                if rj < 0:
-                    raise _negative_count(j, rj)
-            else:
-                rj = r[j - 1]
+    for j in range(1, (stop or k) + 1):
+        if j == k:
+            ph -= alpha
+        if r is None:
+            rj = floor((tp - ph) / d)
             bj = ph + rj * d
-            rs.append(rj)
-            bs.append(bj)
-            if bj >= 0.0 and r is not None:
-                return rs, bs
-            ph = c - one_a2 / bj
-    except ZeroDivisionError:
-        raise ValueError(
-            f"float breakdown in the spine recurrence: b_{j} rounds to 0"
-        ) from None
-    if n >= k >= 1:
-        rk, bk = _last_vertex(alpha, d, tp, ph, k, None if r is None else r[k - 1])
-        rs.append(rk)
-        bs.append(bk)
+            if bj >= tp:
+                rj -= 1
+                bj = ph + rj * d
+            if rj < 0 or bj >= tp:
+                raise ValueError(
+                    "float breakdown in the spine recurrence:"
+                    f" no count r_{j} >= 0 keeps b_{j} below theta'"
+                )
+        else:
+            rj = r[j - 1]
+            bj = ph + rj * d
+        rs.append(rj)
+        bs.append(bj)
+        if bj >= 0.0 and r is not None:
+            break
+        ph = c - one_a2 / bj
     return rs, bs
-
-
-def _last_vertex(
-    alpha: float, d: float, tp: Optional[float], ph: float, k: int, rk: Optional[int] = None
-) -> tuple[int, float]:
-    """(r_k, b_k) of the last spine vertex v_k, from ph = phi(b_{k-1}) (or
-    alpha - lam at k = 1): v_k has one neighbour fewer, so b_k carries an
-    extra -alpha.  With rk None, r_k is the largest count that keeps b_k
-    below tp."""
-    if rk is None:
-        rk = math.floor((tp - ph + alpha) / d + FLOOR_NUDGE)
-        if rk < 0:
-            raise _negative_count(k, rk)
-    return rk, ph - alpha + rk * d
-
-
-def _negative_count(j: int, rj: int) -> ValueError:
-    return ValueError(
-        f"float breakdown in the spine recurrence: negative pendant count r_{j} = {rj}"
-    )
 
 
 def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
@@ -160,8 +137,8 @@ def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
 
     Pendant counts are maximal subject to keeping every spine diagonal
     value below theta_prime; the last spine vertex has one neighbour
-    fewer, hence its own floor line.  For k = 1 the first and last lines
-    merge: the single vertex carries only its pendant leaves.
+    fewer, so its step carries an extra -alpha.  For k = 1 the single
+    vertex is both first and last: it carries only its pendant leaves.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -174,15 +151,16 @@ def _rung(top: ShearerSequence, k: int) -> ShearerSequence:
     """G_k from the greedy G_K of the same point, for 1 <= k <= K.
 
     Only the last spine vertex carries -alpha, so r_1..r_{k-1} and
-    b_1..b_{k-1} of G_k are those of G_K; only v_k's floor is its own.
+    b_1..b_{k-1} of G_k are those of G_K; v_k is one more greedy step,
+    taken from b_{k-1}.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == top.k:
         return top
     p = top.params
-    ph = p.alpha - p.lam if k == 1 else at.phi(top.b[k - 2], p)
-    rk, bk = _last_vertex(p.alpha, p.delta, p.theta_prime, ph, k)
+    prev = top.b[k - 2] if k > 1 else None
+    (rk,), (bk,) = _spine(p.alpha, p.lam, 1, tp=p.theta_prime, prev=prev)
     return ShearerSequence(p, top.r[: k - 1] + (rk,), top.b[: k - 1] + (bk,))
 
 
@@ -256,7 +234,7 @@ def epsilon_roots(seq: ShearerSequence, j_list: Iterable[int]) -> list[float]:
     only to within that 1e-13, so a smaller root is bisection noise: at
     (0.1, 2.44) every k past about 80 returns 3.3e-14, k = 100 and
     k = 10**5 alike.  There `sigma_bound`, an upper bound on eps_k, is the
-    better estimate; certified roots are ROADMAP Direction 4.
+    better estimate; certified roots are ROADMAP Direction 5.
     """
     wanted = list(j_list)
     if not wanted:

@@ -57,12 +57,17 @@ def test_convergence_report_hints_the_radius_with_lambda(monkeypatch):
 
 
 def test_k1_convention():
+    # v_1 is also the last vertex, so its step carries -alpha; r_1 is the
+    # floor of (theta' - phi)/delta, lowered once if b_1 fails the window test
     a, lam = 0.1, 2.44
     seq = build_shearer(a, lam, 1)
     p = AlphaLambda(a, lam)
-    r1 = math.floor((p.theta_prime - (a - lam) + a) / p.delta + 1e-12)
+    ph = (a - lam) - a
+    r1 = math.floor((p.theta_prime - ph) / p.delta)
+    if ph + r1 * p.delta >= p.theta_prime:
+        r1 -= 1
     assert seq.r == (r1,)
-    assert seq.b[0] == pytest.approx(-a + (a - lam) + r1 * p.delta, abs=1e-14)
+    assert seq.b[0] == ph + r1 * p.delta < p.theta_prime <= ph + (r1 + 1) * p.delta
     pend = (1 - a) ** 2 / (lam - a) ** 2
     assert sigma_bound(seq) == pytest.approx(-seq.b[0] / (1 + r1 * pend), rel=1e-12)
 
@@ -77,7 +82,7 @@ def test_spine_replay_reproduces_greedy_build(k):
         assert [x.hex() for x in b] == [x.hex() for x in seq.b]
 
 
-LADDER_POINTS = [(0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181)]
+LADDER_POINTS = [(0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181), (0.0, 2.5)]
 
 
 def _bits(seq):
@@ -116,6 +121,47 @@ def test_window_and_maximality_hold_after_build():
     for a, lam, k in [(0.1, 2.44, 100), (0.25, 3.0, 60), (0.01, 2.06, 100)]:
         rep = verify_window(build_shearer(a, lam, k))
         assert rep.ok, rep.violations
+
+
+@pytest.mark.parametrize("k", [1, 2, 17, 200])
+def test_exact_point_build_passes_its_window_test(k):
+    # at (0, 2.5), (theta' - phi)/delta is exactly 5 and r_1 = 5 gives
+    # b_1 = theta' = -0.5; the greedy count is the window test, so r_1 = 4
+    seq = build_shearer(0.0, 2.5, k)
+    assert seq.r[0] == 4
+    rep = verify_window(seq)
+    assert rep.ok, rep.violations
+
+
+BREAKDOWN = (
+    r"float breakdown in the spine recurrence: no count r_(\d+) >= 0 keeps b_\1 below theta'$"
+)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.1, 0.25, 0.45, 0.5, 0.9])
+def test_greedy_build_keeps_b_below_theta_prime_or_raises(a):
+    # at large lambda, cancellation in b_j can leave no count r_j >= 0 with
+    # b_j < theta'; the build then raises, and never returns such a b_j
+    outcomes = set()
+    for x in range(8, 201):
+        lam = 10 ** (x / 8)
+        for k in (1, 3, 50):
+            try:
+                seq = build_shearer(a, lam, k)
+            except ValueError as exc:
+                assert re.match(BREAKDOWN, str(exc)), (lam, k, str(exc))
+                outcomes.add("raised")
+                continue
+            tp = seq.params.theta_prime
+            assert min(seq.r) >= 0 and max(seq.b) < tp, (lam, k)
+            outcomes.add("built")
+    assert outcomes == {"built", "raised"}
+
+
+def test_breakdown_at_the_first_vertex_raises():
+    # b_1 = -1e100 + r_1*1e-100 rounds to 0 for every count near 1e200
+    with pytest.raises(ValueError, match=BREAKDOWN):
+        build_shearer(0.0, 1e100, 1)
 
 
 def test_window_unit_band_distinguishes_regimes():
