@@ -175,7 +175,7 @@ def _sweep_row(a: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    results = [_sweep_row(a) for a in _parse_grid(args)]
+    results = [_sweep_row(a) for a in _parse_grid(args, 0.0, 0.49, 50)]
     results.sort(key=lambda row: row["alpha"])
     d = args.digits
     if args.format == "json":
@@ -208,7 +208,7 @@ def verify_inertia(trials: int = 200, log=print) -> bool:
         M = a_alpha_weights(tree, alpha)
         spec = dense_spectrum_oracle(M)
         pos = sum(1 for ev in spec if ev > c + 1e-8)
-        # the compiled kernel behind every spectral radius
+        # the inertia pass behind every spectral radius
         n_greater = count_eigenvalues_greater(M, c)
         if n_greater != pos:
             log(f"FAIL inertia trial {t}: count_eigenvalues_greater {n_greater} vs {pos}")
@@ -310,40 +310,52 @@ def cmd_spectral_radius(args) -> int:
     return 0
 
 
-def _parse_grid(args) -> Optional[list[float]]:
-    """The alpha grid of `tables`/`sweep`, or None for the default rows.
-    Its size is settled before any point is made: a grid too large to
-    print in seconds, or one whose points would not advance, is refused."""
-    if args.alphas:
+def _parse_grid(
+    args, start: Optional[float] = None, stop: Optional[float] = None, count: int = 10
+) -> Optional[list[float]]:
+    """The alpha grid of `tables`/`sweep`, with `start`, `stop` and `count`
+    standing in for options not given, or None for the default rows.  Every
+    option given is used or refused, and the grid's size is settled before
+    any point is made: a grid too large to print in seconds, or one whose
+    points would not advance, is refused."""
+    given = [f"--{o}" for o in ("start", "stop", "step", "count") if getattr(args, o) is not None]
+    if args.alphas is not None:
+        if given:
+            raise ValueError(f"--alphas cannot be combined with {given[0]}")
         vals = [float(x) for x in args.alphas.split(",")]
         if not all(map(math.isfinite, vals)):
             raise ValueError("--alphas values must be finite")
         return vals
-    if args.start is None:
-        return None
-    if args.stop is None:
-        raise ValueError("--start needs --stop")
-    if not all(map(math.isfinite, (args.start, args.stop, args.step or 0.0))):
+    if args.step is not None and args.count is not None:
+        raise ValueError("--step and --count cannot be combined")
+    start = start if args.start is None else args.start
+    stop = stop if args.stop is None else args.stop
+    missing = [o for o, v in (("--start", start), ("--stop", stop)) if v is None]
+    if missing:
+        if not given:
+            return None
+        raise ValueError(f"{given[0]} needs " + " and ".join(missing))
+    if not all(map(math.isfinite, (start, stop, args.step or 0.0))):
         raise ValueError("--start, --stop and --step must be finite")
     if args.step is None:
-        count = 10 if args.count is None else args.count
+        count = count if args.count is None else args.count
     elif not args.step > 0:
         raise ValueError("--step must be positive")
     else:
-        spacing = math.ulp(max(abs(args.start), abs(args.stop)))
+        spacing = math.ulp(max(abs(start), abs(stop)))
         if args.step < spacing:  # a smaller step may not advance the grid
             raise ValueError(f"--step must be at least the float spacing {spacing}")
         # a point at most 1e-9 of a step past the stop is still made:
         # (0.3 - 0.1) / 0.1 is 1.9999999999999998
-        count = math.floor((args.stop - args.start) / args.step + 1e-9) + 1
+        count = math.floor((stop - start) / args.step + 1e-9) + 1
     if count < 1:
         raise ValueError("grid must be non-empty")
     if count > MAX_GRID:
         raise ValueError(f"grid must have at most {MAX_GRID} points")
     if args.step is not None:
-        return [round(args.start + i * args.step, 12) for i in range(count)]
-    h = (args.stop - args.start) / max(count - 1, 1)
-    return [args.start + i * h for i in range(count)]
+        return [round(start + i * args.step, 12) for i in range(count)]
+    h = (stop - start) / max(count - 1, 1)
+    return [start + i * h for i in range(count)]
 
 
 def non_negative_int(text: str) -> int:
@@ -383,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="per-alpha threshold and regime summary")
     p.add_argument("--alphas", default=None)
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=0.49)
+    p.add_argument("--start", type=float, default=None, help="default 0")
+    p.add_argument("--stop", type=float, default=None, help="default 0.49")
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=int, default=None, help="default 50")
     common(p, ["csv", "json", "text"])
     p.set_defaults(func=cmd_sweep)
 

@@ -7,8 +7,10 @@ positive pivots is the number of eigenvalues of M above c.  Bisection on
 that count brackets the spectral radius, and a dense LAPACK oracle checks
 it on small trees.
 
-`InertiaPlan` and `SpectralRadiusResult` are read-only named tuples: they
-unpack, and compare and hash by value, like plain tuples of their fields.
+Each pass reads the matrix itself: the tree's alpha-free `layout` and
+the diagonal `WeightedTreeMatrix.diag` scaled by alpha.
+`SpectralRadiusResult` is a read-only named tuple: it unpacks, and
+compares and hashes by value, like a plain tuple of its fields.
 """
 from __future__ import annotations
 
@@ -40,11 +42,16 @@ class SpectralRadiusResult(NamedTuple):
     passes: int  # inertia passes run: hint probes and descent passes included
 
 
-class InertiaPlan(NamedTuple):
-    """An A_alpha tree matrix compiled once for repeated inertia counts.
+def count_eigenvalues_greater(
+    M: WeightedTreeMatrix, c: float, at_most: Optional[int] = None
+) -> int:
+    """Number of eigenvalues of M strictly greater than c: the positive
+    pivots of M - cI.  With at_most given, the count is min(that number,
+    at_most): the running count pos never decreases, so the pass returns
+    as soon as it reaches the cap.
 
-    The pivots of M - cI, bottom-up: a vertex v gets d_v = alpha*deg(v)
-    - c - sum w2/d_u over its children u, with w2 = (1-alpha)^2, and a
+    The pivots are found bottom-up: a vertex v gets d_v = alpha*deg(v) -
+    c - sum w2/d_u over its children u, with w2 = (1-alpha)^2, and a
     pivot with |d| <= ZERO_TOL becomes -ZERO_TOL before it is used.  No
     pivot is then zero, so the steps are congruences for every alpha in
     [0, 1], and the positive pivots count the eigenvalues above c of M
@@ -52,158 +59,121 @@ class InertiaPlan(NamedTuple):
     `count_margin`).  At alpha = 1 (w2 = 0) every term w2/d is 0, so the
     pivots are the diagonal entries of M = D(T) less c.
 
-    The plan holds that pass in flat arrays: the vertices that have
-    children, plus the root, listed bottom-up as plan indices 0..m-1,
-    with their diagonal entries alpha*deg and the plan index of their
-    parent (m for the root, a scratch slot).  Every leaf has the diagonal
-    entry alpha, so all leaves share one pivot and are folded into a
-    count per parent.  All but the diagonal is the tree's alpha-free
-    `layout` (`trees.TreeLayout`), which a caterpillar gets in O(k) from
-    its pendant counts.
+    The pass reads the tree's alpha-free `layout` (`trees.TreeLayout`:
+    the vertices that have children, plus the root, bottom-up; the root's
+    parent is a scratch slot) and their diagonal entries `M.diag`.  Every
+    leaf has the diagonal entry alpha, so all leaves share one pivot and
+    are folded into a count per parent.  Pivots are pushed up as they are
+    found: acc[p] collects the terms w2/d of p's children, and a vertex's
+    m leaves add m * w2/d at once, first.
     """
-
-    alpha: float
-    w2: float
-    diag: tuple[float, ...]
-    parent: tuple[int, ...]
-    leaf_parents: tuple[int, ...]  # plan indices of vertices with leaves
-    leaf_counts: tuple[int, ...]  # and their leaf counts
-
-    @classmethod
-    def compile(cls, M: WeightedTreeMatrix) -> "InertiaPlan":
-        """The tree's alpha-free `layout`, its degrees scaled by alpha."""
-        layout, alpha = M.tree.layout, M.alpha
-        return cls(
-            alpha=alpha,
-            w2=(1.0 - alpha) ** 2,
-            diag=tuple([alpha * g for g in layout.degree]),
-            parent=layout.parent,
-            leaf_parents=layout.leaf_parents,
-            leaf_counts=layout.leaf_counts,
-        )
-
-    def count_greater(self, c: float, at_most: Optional[int] = None) -> int:
-        """Number of positive pivots of M - cI, that is, of eigenvalues of
-        M above c.  With at_most given, the count is min(that number,
-        at_most): the running count pos never decreases, so the pass
-        returns as soon as it reaches the cap.
-
-        Pivots are pushed up as they are found: acc[p] collects the terms
-        w2/d of p's children, and a vertex's m leaves add m * w2/d at
-        once, first.  A pivot in [-ZERO_TOL, ZERO_TOL] is pushed as
-        -ZERO_TOL, like any other negative pivot.
-        """
-        cap = sys.maxsize if at_most is None else at_most
-        x = -c
-        tol = ZERO_TOL
-        w = self.w2
-        acc = [0.0] * (len(self.diag) + 1)
-        pos = 0
-        t = self.alpha + x  # the pivot of every leaf
-        if t > tol:
-            pos += sum(self.leaf_counts)
+    layout = M.tree.layout
+    cap = sys.maxsize if at_most is None else at_most
+    x = -c
+    tol = ZERO_TOL
+    w = (1.0 - M.alpha) ** 2
+    diag = M.diag
+    acc = [0.0] * (len(diag) + 1)
+    pos = 0
+    t = M.alpha + x  # the pivot of every leaf
+    if t > tol:
+        pos += sum(layout.leaf_counts)
+        if pos >= cap:
+            return cap
+    elif t >= -tol:
+        t = -tol
+    q = w / t
+    for p, m in zip(layout.leaf_parents, layout.leaf_counts):
+        acc[p] += m * q
+    for b, s, p in zip(diag, acc, layout.parent):
+        d = (b + x) - s
+        if d > tol:
+            pos += 1
             if pos >= cap:
                 return cap
-        elif t >= -tol:
-            t = -tol
-        q = w / t
-        for p, m in zip(self.leaf_parents, self.leaf_counts):
-            acc[p] += m * q
-        for b, s, p in zip(self.diag, acc, self.parent):
-            d = (b + x) - s
-            if d > tol:
-                pos += 1
-                if pos >= cap:
-                    return cap
-            elif d >= -tol:
-                d = -tol
-            acc[p] += w / d
-        return pos
-
-    def laguerre_descent(self, c: float, lo: float, tol: float) -> tuple[float, int]:
-        """Laguerre's iteration from c down onto the largest eigenvalue of
-        M, as (estimate, passes run).
-
-        Each pass runs the `count_greater` recurrence with the leaves folded
-        the same way, but with no pivmin rule, and carries each pivot's
-        first and second derivative in c.  With r_u = d_u'/d_u and s_u =
-        d_u''/d_u of the children u of v,
-
-            d_v = b_v - c - sum w2/d_u,   d_v' = -1 + sum w2 r_u/d_u,
-            d_v'' = sum w2 (s_u - 2 r_u^2)/d_u.
-
-        det(M - cI) is the product of the pivots, so G = sum_v r_v =
-        sum_i 1/(c - lambda_i) and H = sum_v (r_v^2 - s_v) = sum_i 1/(c -
-        lambda_i)^2, the sums over all n vertices and eigenvalues.  Started
-        right of the largest root of a real-rooted polynomial of degree n,
-        the step c <- c - n/(G + sqrt((n-1)(nH - G^2))) falls monotonically
-        and, near a simple root, cubically onto it (Li and Zeng, SIAM J.
-        Sci. Comput. 15, 1994).
-
-        The descent returns c at a zero pivot, at a step that is not finite
-        or would leave (lo, c), and at the second step larger than a
-        quarter of the step before it: slow steps mean a near multiple top
-        eigenvalue, or rounding.  The first slow step is taken, since
-        eigenvalues a little below the largest can slow the first steps (on
-        Shearer caterpillars, for one).  A step of at most tol/4 is taken
-        and ends the descent.  The estimate is no bound: only inertia
-        counts prove where the radius lies.
-        """
-        w = self.w2
-        leaves = sum(self.leaf_counts)
-        n = len(self.diag) + leaves
-        size = len(self.diag) + 1
-        passes = 0
-        last = math.inf
-        slow = False
-        while True:
-            passes += 1
-            x = -c
-            a0, a1, a2 = [0.0] * size, [0.0] * size, [0.0] * size
-            try:
-                t = self.alpha + x  # the pivot of every leaf; d' = -1, d'' = 0
-                r = -1.0 / t
-                q = w / t
-                g, h = leaves * r, leaves * r * r
-                q1, q2 = q * r, -2.0 * q * r * r
-                for p, m in zip(self.leaf_parents, self.leaf_counts):
-                    a0[p] += m * q
-                    a1[p] += m * q1
-                    a2[p] += m * q2
-                for b, s0, s1, s2, p in zip(self.diag, a0, a1, a2, self.parent):
-                    d = (b + x) - s0
-                    r = (s1 - 1.0) / d
-                    s = s2 / d
-                    g += r
-                    h += r * r - s
-                    q = w / d
-                    a0[p] += q
-                    a1[p] += q * r
-                    a2[p] += q * (s - 2.0 * r * r)
-                step = n / (g + math.sqrt(max((n - 1) * (n * h - g * g), 0.0)))
-            except ZeroDivisionError:
-                return c, passes
-            if not lo < c - step < c:  # a NaN step fails too
-                return c, passes
-            if step > last / 4:
-                if slow:
-                    return c, passes
-                slow = True
-            if step <= tol / 4:
-                return c - step, passes
-            c -= step
-            last = step
+        elif d >= -tol:
+            d = -tol
+        acc[p] += w / d
+    return pos
 
 
-def count_eigenvalues_greater(
-    M: WeightedTreeMatrix, c: float, at_most: Optional[int] = None
-) -> int:
-    """Number of eigenvalues of M strictly greater than c, or at most
-    at_most of them: the positive pivots of M - cI on the matrix's
-    compiled `inertia_plan`, where a pivot with |d| <= ZERO_TOL becomes
-    -ZERO_TOL.
+def laguerre_descent(
+    M: WeightedTreeMatrix, c: float, lo: float, tol: float
+) -> tuple[float, int]:
+    """Laguerre's iteration from c down onto the largest eigenvalue of M,
+    as (estimate, passes run).
+
+    Each pass runs the `count_eigenvalues_greater` recurrence with the
+    leaves folded the same way, but with no pivmin rule, and carries each
+    pivot's first and second derivative in c.  With r_u = d_u'/d_u and
+    s_u = d_u''/d_u of the children u of v,
+
+        d_v = b_v - c - sum w2/d_u,   d_v' = -1 + sum w2 r_u/d_u,
+        d_v'' = sum w2 (s_u - 2 r_u^2)/d_u.
+
+    det(M - cI) is the product of the pivots, so G = sum_v r_v =
+    sum_i 1/(c - lambda_i) and H = sum_v (r_v^2 - s_v) = sum_i 1/(c -
+    lambda_i)^2, the sums over all n vertices and eigenvalues.  Started
+    right of the largest root of a real-rooted polynomial of degree n,
+    the step c <- c - n/(G + sqrt((n-1)(nH - G^2))) falls monotonically
+    and, near a simple root, cubically onto it (Li and Zeng, SIAM J.
+    Sci. Comput. 15, 1994).
+
+    The descent returns c at a zero pivot, at a step that is not finite
+    or would leave (lo, c), and at the second step larger than a
+    quarter of the step before it: slow steps mean a near multiple top
+    eigenvalue, or rounding.  The first slow step is taken, since
+    eigenvalues a little below the largest can slow the first steps (on
+    Shearer caterpillars, for one).  A step of at most tol/4 is taken
+    and ends the descent.  The estimate is no bound: only inertia
+    counts prove where the radius lies.
     """
-    return M.inertia_plan.count_greater(c, at_most)
+    layout = M.tree.layout
+    w = (1.0 - M.alpha) ** 2
+    diag = M.diag
+    leaves = sum(layout.leaf_counts)
+    n = len(diag) + leaves
+    size = len(diag) + 1
+    passes = 0
+    last = math.inf
+    slow = False
+    while True:
+        passes += 1
+        x = -c
+        a0, a1, a2 = [0.0] * size, [0.0] * size, [0.0] * size
+        try:
+            t = M.alpha + x  # the pivot of every leaf; d' = -1, d'' = 0
+            r = -1.0 / t
+            q = w / t
+            g, h = leaves * r, leaves * r * r
+            q1, q2 = q * r, -2.0 * q * r * r
+            for p, m in zip(layout.leaf_parents, layout.leaf_counts):
+                a0[p] += m * q
+                a1[p] += m * q1
+                a2[p] += m * q2
+            for b, s0, s1, s2, p in zip(diag, a0, a1, a2, layout.parent):
+                d = (b + x) - s0
+                r = (s1 - 1.0) / d
+                s = s2 / d
+                g += r
+                h += r * r - s
+                q = w / d
+                a0[p] += q
+                a1[p] += q * r
+                a2[p] += q * (s - 2.0 * r * r)
+            step = n / (g + math.sqrt(max((n - 1) * (n * h - g * g), 0.0)))
+        except ZeroDivisionError:
+            return c, passes
+        if not lo < c - step < c:  # a NaN step fails too
+            return c, passes
+        if step > last / 4:
+            if slow:
+                return c, passes
+            slow = True
+        if step <= tol / 4:
+            return c - step, passes
+        c -= step
+        last = step
 
 
 def count_margin(M: WeightedTreeMatrix) -> float:
@@ -219,7 +189,7 @@ def count_margin(M: WeightedTreeMatrix) -> float:
     Ren, ETNA 3, 1995, carried over to trees).  Let u = eps/2 be the unit
     roundoff and g_k = k u / (1 - k u).  For n < 1e75 no sum overflows
     and no term w2/d underflows (see ZERO_TOL), so every float operation
-    is exact up to a factor 1 + delta with |delta| <= u.  The plan
+    is exact up to a factor 1 + delta with |delta| <= u.  The pass
     computes each pivot as d_v = fl(fl(b_v - c) - s_v), where b_v =
     fl(alpha deg v) and s_v is the float sum of at most deg v terms
     fl(w2 / d_u) over the children u (the m leaves of v enter as one term
@@ -291,7 +261,7 @@ def spectral_radius(
 
     The bisection also makes its own hint.  When a step first narrows
     the bracket to at most `LAGUERRE_WIDTH` while the band still to count
-    is wider, `InertiaPlan.laguerre_descent` runs from the upper end of
+    is wider, `laguerre_descent` runs from the upper end of
     that band, and its estimate, if it lies inside the bracket, is probed
     like `above`.  Each probe only proves what the float count at some
     midpoints is, so every midpoint and decision is the one the plain
@@ -346,7 +316,7 @@ def spectral_radius(
             if skip_from - count_from > LAGUERRE_WIDTH:
                 # rho <= min(hi, skip_from) + eta, so the descent starts at
                 # or right of the radius, up to rounding
-                h, k = M.inertia_plan.laguerre_descent(min(hi, skip_from), lo, tol)
+                h, k = laguerre_descent(M, min(hi, skip_from), lo, tol)
                 passes += k
                 if lo < h < hi:
                     probe(h)

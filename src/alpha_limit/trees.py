@@ -12,10 +12,10 @@ from typing import NamedTuple, Optional, Sequence
 
 
 class TreeLayout(NamedTuple):
-    """The alpha-free part of an inertia plan (`diagonalize.InertiaPlan`):
-    its vertices' degrees in place of their diagonal entries, and the
-    maximum degree Delta of the tree, the largest listed degree (every
-    vertex not listed is a leaf)."""
+    """The alpha-free part of the inertia pass: the vertices with children,
+    plus the root, bottom-up with their degrees and parent indices (the
+    root's is the list's length), the leaf counts, and the maximum degree
+    Delta, the largest listed degree (every vertex not listed is a leaf)."""
 
     degree: tuple[int, ...]
     parent: tuple[int, ...]
@@ -103,11 +103,10 @@ class WeightedTreeMatrix(
         return super().__new__(cls, tree, alpha)
 
     @cached_property
-    def inertia_plan(self):
-        """The matrix compiled for inertia counts (`diagonalize.InertiaPlan`)."""
-        from .diagonalize import InertiaPlan
-
-        return InertiaPlan.compile(self)
+    def diag(self) -> tuple[float, ...]:
+        """The diagonal entries alpha*deg of the tree's `layout`, in its order."""
+        alpha = self.alpha
+        return tuple([alpha * g for g in self.tree.layout.degree])
 
     def dense(self):
         """Assemble the dense symmetric matrix (numpy array)."""
@@ -145,7 +144,7 @@ def make_caterpillar(r: Sequence[int]) -> RootedTree:
 def _caterpillar_layout(r: Sequence[int]) -> TreeLayout:
     """`RootedTree.layout` of `make_caterpillar(r)`, in O(k) from r.
 
-    The plan lists the spine v_1..v_k, except a bare v_1 (r_1 = 0, k > 1),
+    The layout lists the spine v_1..v_k, except a bare v_1 (r_1 = 0, k > 1),
     which is then a leaf of v_2.  v_i has degree r_i + 2 less one at
     either end of the spine, and each listed vertex's parent is the next.
     """

@@ -297,6 +297,17 @@ def _assert_one_line_error(capsys, argv):
         (["shearer", "-a", "0", "-l", "237137370.56616554", "-k", "3"],
          "alpha-limit: error: float breakdown in the spine recurrence:"
          " no count r_2 >= 0 keeps b_2 below theta'\n"),
+        # every grid option given is used or refused
+        (["tables", "tau0", "--start", "0", "--stop", "0.1", "--step", "0.05", "--count", "7"],
+         "alpha-limit: error: --step and --count cannot be combined\n"),
+        (["tables", "tau0", "--count", "3"],
+         "alpha-limit: error: --count needs --start and --stop\n"),
+        (["tables", "tau0", "--stop", "0.3"], "alpha-limit: error: --stop needs --start\n"),
+        (["tables", "tau0", "--alphas", "0.1", "--start", "0.2", "--stop", "0.3"],
+         "alpha-limit: error: --alphas cannot be combined with --start\n"),
+        (["sweep", "--alphas", "0.1", "--count", "3", "--step", "0.1"],
+         "alpha-limit: error: --alphas cannot be combined with --step\n"),
+        (["tables", "tau0", "--alphas", ""], "could not convert string to float"),
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, argv, message):

@@ -17,6 +17,7 @@ from alpha_limit.diagonalize import (
     count_eigenvalues_greater,
     count_margin,
     dense_spectrum_oracle,
+    laguerre_descent,
     spectral_radius,
 )
 from alpha_limit.shearer import build_shearer, classify_regime
@@ -289,8 +290,8 @@ def test_count_with_zero_pivot_leaves_under_hub_and_root():
     parent = (None, 0, 1, 1, 1, 1, 1, 0)
     tree = RootedTree(n=8, parent=parent, order=(2, 3, 4, 5, 6, 1, 7, 0))
     M = a_alpha_weights(tree, 0.0)
-    plan = M.inertia_plan
-    assert (plan.leaf_parents, plan.leaf_counts) == ((0, 1), (5, 1))
+    layout = M.tree.layout
+    assert (layout.leaf_parents, layout.leaf_counts) == ((0, 1), (5, 1))
     half = Fraction(-1, 2)
     assert exact_pivots(parent, tree.order, 0.0, 0) == [half, half, 2, 0, 0, 0, 0, 2]
     ev = np.linalg.eigvalsh(M.dense())
@@ -302,11 +303,10 @@ def test_count_with_zero_pivot_leaves_under_hub_and_root():
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(M=tree_matrices(), shifts=st.lists(st.floats(-4.0, 4.0), max_size=3))
 def test_capped_count_is_the_full_count_capped(M, shifts):
-    plan = M.inertia_plan
     for c in EXACT_SHIFTS + shifts:
-        full = plan.count_greater(c)
+        full = count_eigenvalues_greater(M, c)
         for m in (1, 2, 3):
-            assert plan.count_greater(c, at_most=m) == min(full, m)
+            assert count_eigenvalues_greater(M, c, at_most=m) == min(full, m)
 
 
 def test_capped_count_on_p4_at_eigenvalue_shifts():
@@ -343,7 +343,7 @@ def test_count_is_exact_at_eigenvalue_shifts():
                 assert count_eigenvalues_greater(M, c) == exact
                 # caps hit in the leaf stage and the main loop
                 for m in range(exact + 2):
-                    assert M.inertia_plan.count_greater(c, at_most=m) == min(exact, m)
+                    assert count_eigenvalues_greater(M, c, at_most=m) == min(exact, m)
     assert on_eigenvalue >= 500
 
 
@@ -519,7 +519,7 @@ def test_laguerre_descent_reaches_star_and_p2_radii():
         for alpha in (0.0, 0.3, 0.5, 0.9):
             M = a_alpha_weights(make_caterpillar([m]), alpha)
             rho, delta = _initial_bracket(M)  # the star's radius, closed form
-            est, passes = M.inertia_plan.laguerre_descent(delta + 1e-9, rho - 1.0, 1e-12)
+            est, passes = laguerre_descent(M, delta + 1e-9, rho - 1.0, 1e-12)
             assert abs(est - rho) <= 1e-12 and 1 <= passes <= 10
             if m == 1:
                 assert abs(est - 1.0) <= 1e-12
@@ -528,10 +528,10 @@ def test_laguerre_descent_reaches_star_and_p2_radii():
 def test_laguerre_descent_returns_at_zero_pivots_and_alpha_1():
     # the leaf pivot alpha - c is exactly 0.0
     for tree in (make_path(2), make_caterpillar([3, 1, 2])):
-        plan = a_alpha_weights(tree, 0.5).inertia_plan
-        assert plan.laguerre_descent(0.5, -1.0, 1e-12) == (0.5, 1)
+        M = a_alpha_weights(tree, 0.5)
+        assert laguerre_descent(M, 0.5, -1.0, 1e-12) == (0.5, 1)
     star = make_caterpillar([4])
-    plan = a_alpha_weights(star, 1.0).inertia_plan  # M = D(T), w2 = 0
-    assert plan.laguerre_descent(4.0, 0.0, 1e-12) == (4.0, 1)  # the root pivot is 0.0
-    est, passes = plan.laguerre_descent(4.0 + 1e-9, 1.0, 1e-12)
+    M = a_alpha_weights(star, 1.0)  # M = D(T), w2 = 0
+    assert laguerre_descent(M, 4.0, 0.0, 1e-12) == (4.0, 1)  # the root pivot is 0.0
+    est, passes = laguerre_descent(M, 4.0 + 1e-9, 1.0, 1e-12)
     assert abs(est - 4.0) <= 1e-12 and passes <= 5

@@ -1,11 +1,11 @@
-"""The compiled inertia plan against a plain reference compile.
+"""What the inertia pass reads, against a plain reference.
 
-`reference_plan` builds the plan the slow way, from a tree's parent links
-and bottom-up order only, with child lists and dicts, and imports nothing
-from `alpha_limit.diagonalize`.  The package's `InertiaPlan.compile` must
-give the same tuples and the same float bits on every tree, both from the
-layout `make_caterpillar` seeds from the pendant counts and from the
-generic walk over the same tree."""
+`reference_plan` builds the pass's arrays the slow way, from a tree's
+parent links and bottom-up order only, with child lists and dicts, and
+imports nothing from `alpha_limit.diagonalize`.  The tree's `layout` and
+the matrix's `diag` must give the same tuples and the same float bits on
+every tree, both from the layout `make_caterpillar` seeds from the pendant
+counts and from the generic walk over the same tree."""
 from __future__ import annotations
 
 import random
@@ -29,11 +29,11 @@ ALPHAS = (0.0, 0.37, 0.5, 1.0)
 def reference_plan(
     parent: Sequence[Optional[int]], order: Sequence[int], alpha: float
 ) -> tuple[dict, tuple[int, ...]]:
-    """The plan fields and the vertex degrees of A_alpha(T).
+    """The pass's arrays and the vertex degrees of A_alpha(T).
 
-    The plan lists the vertices that have children, plus the root, in the
-    bottom-up order; for each its diagonal entry alpha*deg, the plan index
-    of its parent (the plan's length for the root) and its number of leaf
+    The pass lists the vertices that have children, plus the root, in the
+    bottom-up order; for each its diagonal entry alpha*deg, the list index
+    of its parent (the list's length for the root) and its number of leaf
     children, kept only where nonzero."""
     kids: dict[int, list[int]] = {v: [] for v in range(len(parent))}
     for v, p in enumerate(parent):
@@ -49,7 +49,6 @@ def reference_plan(
         "parent": tuple(index[parent[v]] for v in inner),
         "leaf_parents": tuple(i for i, m in leaves.items() if m),
         "leaf_counts": tuple(m for m in leaves.values() if m),
-        "w2": (1.0 - alpha) ** 2,
     }
     return plan, degree
 
@@ -108,10 +107,11 @@ def test_compile_matches_reference(alpha):
     for name, seeded in _trees():
         want, degree = reference_plan(seeded.parent, seeded.order, alpha)
         for tree in (seeded, _rebuilt(seeded)):
-            plan = a_alpha_weights(tree, alpha).inertia_plan
+            M = a_alpha_weights(tree, alpha)
             for field, value in want.items():
-                assert _bits(getattr(plan, field)) == _bits(value), (name, field)
-            assert plan.alpha == alpha
+                got = M.diag if field == "diag" else getattr(tree.layout, field)
+                assert _bits(got) == _bits(value), (name, field)
+            assert M.alpha == alpha
             assert tree.degree == degree, name
             assert tree.layout.max_degree == max(degree), name
 

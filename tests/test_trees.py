@@ -153,7 +153,7 @@ def test_tree_records_are_read_only_values():
     with pytest.raises(AttributeError):
         M.alpha = 0.5
     assert tree.degree is tree.degree and tree.child_count is tree.child_count
-    assert M.inertia_plan is M.inertia_plan
+    assert M.diag is M.diag
 
 
 def test_tree_from_edge_list_round_trip():
