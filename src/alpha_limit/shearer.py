@@ -22,9 +22,10 @@ _WINDOW_SLACK = 1e-9
 
 # Largest G_k that convergence_report builds, by spine length and by
 # vertex count (Python 3.11, one Xeon core): k = MAX_K at (0.1, 2.44),
-# 181 893 vertices, takes 0.22-0.25 s; a leafy G_k of nearly MAX_VERTICES
-# vertices (alpha = 0, lambda = 60, k = 892: 998 737) takes 0.31-0.32 s
-# and 131 MB of peak RSS.
+# 181 893 vertices, takes 0.11-0.14 s and 36 MB of peak RSS; a leafy G_k
+# of nearly MAX_VERTICES vertices (alpha = 0, lambda = 60, k = 892:
+# 998 737) takes 4-5 ms and 14 MB: the report reads only its O(k)
+# layout, not its O(n) parent links and order (0.1 s and 55 MB to build).
 MAX_K = 100_000
 MAX_VERTICES = 1_000_000
 

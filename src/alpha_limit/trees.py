@@ -1,14 +1,18 @@
 """Rooted tree constructors and A_alpha weightings.
 
 Vertex indices are 0-based; the CLI's edge-list files are 1-based.
-`RootedTree` and `WeightedTreeMatrix` are read-only named tuples: they
-unpack, and compare and hash by value, like plain tuples of their fields.
+`RootedTree`, `Caterpillar` and `WeightedTreeMatrix` are read-only named
+tuples: they unpack, and compare and hash by value, like plain tuples of
+their fields.  A `Caterpillar` is a tree held as its pendant counts: its
+fields are r and n, not parent links and an order, so it never equals a
+`RootedTree`, but it reads like one (`parent`, `order`, `degree`,
+`edges()`, `layout`) and every weighting and count takes either.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 
 class TreeLayout(NamedTuple):
@@ -92,12 +96,61 @@ class RootedTree(
         return [(v, p) for v, p in enumerate(self.parent) if p is not None]
 
 
+class Caterpillar(NamedTuple("Caterpillar", [("r", tuple[int, ...]), ("n", int)])):
+    """The tree `make_caterpillar(r)` builds, held as its pendant counts r
+    and vertex count n.  Its `layout` comes from r in O(k); its parent
+    links, order and the `RootedTree` fields derived from them are built
+    on first use, so the inertia pass never builds a tuple of n entries.
+    """
+
+    @cached_property
+    def parent(self) -> tuple[Optional[int], ...]:
+        r, k = self.r, len(self.r)
+        return tuple(range(1, k)) + (None,) + tuple(chain.from_iterable(map(repeat, range(k), r)))
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        k = len(self.r)
+        return tuple(range(k, self.n)) + tuple(range(k))
+
+    @cached_property
+    def layout(self) -> TreeLayout:
+        """`RootedTree.layout` of this tree, in O(k) from r.
+
+        The layout lists the spine v_1..v_k, except a bare v_1 (r_1 = 0,
+        k > 1), which is then a leaf of v_2.  v_i has degree r_i + 2 less
+        one at either end of the spine, and each listed vertex's parent is
+        the next.
+        """
+        r = self.r
+        degree = [ri + 2 for ri in r]
+        degree[0] -= 1
+        degree[-1] -= 1
+        leaves = list(r)
+        if len(r) > 1 and r[0] == 0:
+            del degree[0], leaves[0]
+            leaves[0] += 1
+        return _layout(tuple(degree), tuple(range(1, len(degree) + 1)), leaves)
+
+    root = RootedTree.root
+    child_count = RootedTree.child_count
+    degree = RootedTree.degree
+    edges = RootedTree.edges
+
+    def __setattr__(self, name, value):
+        # parent and order are fields of a RootedTree, so they stay read-only
+        raise AttributeError(f"cannot set {name!r} of a Caterpillar")
+
+
+Tree = Union[RootedTree, Caterpillar]
+
+
 class WeightedTreeMatrix(
-    NamedTuple("WeightedTreeMatrix", [("tree", RootedTree), ("alpha", float)])
+    NamedTuple("WeightedTreeMatrix", [("tree", Tree), ("alpha", float)])
 ):
     """A_alpha(T) = alpha*D(T) + (1-alpha)*A(T) of a rooted tree T."""
 
-    def __new__(cls, tree: RootedTree, alpha: float):
+    def __new__(cls, tree: Tree, alpha: float):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         return super().__new__(cls, tree, alpha)
@@ -118,44 +171,22 @@ class WeightedTreeMatrix(
         return a
 
 
-def make_caterpillar(r: Sequence[int]) -> RootedTree:
+def make_caterpillar(r: Sequence[int]) -> Caterpillar:
     """Caterpillar with spine v_1..v_k (v_k the root) and r_i pendant
     leaves at v_i, for the pendant counts r = [r_1, ..., r_k].
 
     Spine vertices take indices 0..k-1; leaves follow, grouped by spine
     vertex.  The bottom-up order lists all leaves first, then the spine
     from v_1 up to v_k, so that the inertia pass visits the spine in the
-    natural order.  The tree's `layout` is filled in from r, in O(k).
+    natural order.  The record holds r and n only: the layout is O(k),
+    and the O(n) parent links and order are built only when read.
     """
-    k = len(r)
-    if k < 1:
+    if len(r) < 1:
         raise ValueError("need at least one spine vertex")
     if min(r) < 0:
         raise ValueError("pendant counts must be non-negative")
-    n = k + sum(r)
-    leaf_parents = tuple(chain.from_iterable(map(repeat, range(k), r)))
-    parent = tuple(range(1, k)) + (None,) + leaf_parents
-    order = tuple(range(k, n)) + tuple(range(k))
-    tree = RootedTree(n=n, parent=parent, order=order)
-    vars(tree)["layout"] = _caterpillar_layout(r)  # seeds the cached property
-    return tree
-
-
-def _caterpillar_layout(r: Sequence[int]) -> TreeLayout:
-    """`RootedTree.layout` of `make_caterpillar(r)`, in O(k) from r.
-
-    The layout lists the spine v_1..v_k, except a bare v_1 (r_1 = 0, k > 1),
-    which is then a leaf of v_2.  v_i has degree r_i + 2 less one at
-    either end of the spine, and each listed vertex's parent is the next.
-    """
-    degree = [ri + 2 for ri in r]
-    degree[0] -= 1
-    degree[-1] -= 1
-    leaves = list(r)
-    if len(r) > 1 and r[0] == 0:
-        del degree[0], leaves[0]
-        leaves[0] += 1
-    return _layout(tuple(degree), tuple(range(1, len(degree) + 1)), leaves)
+    r = tuple(r)
+    return Caterpillar(r, len(r) + sum(r))
 
 
 def _layout(degree: tuple[int, ...], parent: tuple[int, ...], leaves: list[int]) -> TreeLayout:
@@ -194,7 +225,7 @@ def make_path(n: int) -> RootedTree:
     return RootedTree(n=n, parent=tuple(parent), order=tuple(range(n)))
 
 
-def a_alpha_weights(tree: RootedTree, alpha: float) -> WeightedTreeMatrix:
+def a_alpha_weights(tree: Tree, alpha: float) -> WeightedTreeMatrix:
     """A_alpha(G) = alpha*D(G) + (1-alpha)*A(G) of a tree."""
     return WeightedTreeMatrix(tree, alpha)
 

@@ -18,6 +18,13 @@ from alpha_limit.cli import main
 TREE12 = str(Path(__file__).parent / "golden" / "tree12.edges")
 
 
+def _case(label: str, value, message: str):
+    """An (input, message) case with the fixed id `label-message`.  The
+    labels keep the ids these tests once had by position, and a new case
+    takes a new label, so inserting a case renames no other test."""
+    return pytest.param(value, message, id=f"{label}-{message}")
+
+
 def _run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["-o", str(out)])
@@ -123,8 +130,10 @@ def test_shearer_json(tmp_path):
 @pytest.mark.parametrize(
     "argv, builds",
     [
-        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "20"], [(0.1, 2.44, 20)]),
-        (["verify", "examples"], [(0.1, 2.44, 100), (0.01, 2.06, 100)]),
+        pytest.param(["shearer", "-a", "0.1", "-l", "2.44", "-k", "20"], [(0.1, 2.44, 20)],
+                     id="argv0-builds0"),
+        pytest.param(["verify", "examples"], [(0.1, 2.44, 100), (0.01, 2.06, 100)],
+                     id="argv1-builds1"),
     ],
 )
 def test_each_caterpillar_is_built_once(monkeypatch, capsys, argv, builds):
@@ -255,59 +264,63 @@ def _assert_one_line_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["tables", "tau0", "--start", "0.1"], "--start needs --stop"),
-        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "0"], "k must be >= 1"),
-        (["shearer", "-a", "0.1", "-l", "nan", "--exploratory"], "finite"),
-        (["shearer", "-a", "0.1", "-l", "inf"], "finite"),
-        (["tables", "tau0", "--start", "0.1", "--stop", "0.2", "--count", "0"],
-         "grid must be non-empty"),
-        (["sweep", "--count", "0"], "grid must be non-empty"),
+        _case("argv0", ["tables", "tau0", "--start", "0.1"], "--start needs --stop"),
+        _case("argv1", ["shearer", "-a", "0.1", "-l", "2.44", "-k", "0"], "k must be >= 1"),
+        _case("argv2", ["shearer", "-a", "0.1", "-l", "nan", "--exploratory"], "finite"),
+        _case("argv3", ["shearer", "-a", "0.1", "-l", "inf"], "finite"),
+        _case("argv4", ["tables", "tau0", "--start", "0.1", "--stop", "0.2", "--count", "0"],
+            "grid must be non-empty"),
+        _case("argv5", ["sweep", "--count", "0"], "grid must be non-empty"),
         # the input is validated before the regime is looked at
-        (["shearer", "-a", "1.5", "-l", "2.5", "-k", "7"],
-         "alpha-limit: error: alpha must lie in [0, 1)"),
-        (["shearer", "-a", "0.1", "-l", "1.5"], "alpha-limit: error: lambda must exceed 2"),
-        (["shearer", "-a", "-0.5", "-l", "2.5"],
-         "alpha-limit: error: alpha must lie in [0, 1)"),
-        (["shearer", "-a", "0.22", "-l", "2.4", "-k", "20"],
-         "alpha-limit: error: no convergence guarantee covers this point (lambda < tau2(0.22)"),
-        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "10", "--tol", "nan"],
-         "tol must be a positive finite number"),
-        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "10", "--tol", "inf"],
-         "tol must be a positive finite number"),
-        (["spectral-radius", "--edges", TREE12, "-a", "0.3", "--tol", "nan"],
-         "tol must be a positive finite number"),
-        (["spectral-radius", "--edges", TREE12, "-a", "0.3", "--tol", "inf"],
-         "tol must be a positive finite number"),
-        (["shearer", "-a", "0.1", "-l", "2.44", "-k", "100001"],
-         "alpha-limit: error: k must be at most 100000\n"),
-        (["shearer", "-a", "0", "-l", "1e5", "-k", "3"],
-         "alpha-limit: error: G_3 would have 19114929324 vertices; at most 1000000"),
-        (["shearer", "-a", "0.1", "-l", "1e300", "-k", "3"],
-         "alpha-limit: error: lambda must be below 2**512"),
-        (["sweep", "--alphas", "nan,inf,0.1"],
-         "alpha-limit: error: --alphas values must be finite\n"),
-        (["tables", "tau0", "--alphas", "0.1,-inf"], "--alphas values must be finite"),
-        (["tables", "tau0", "--start", "0.3", "--stop", "0.1", "--step", "0.1"],
-         "grid must be non-empty"),
+        _case("argv6", ["shearer", "-a", "1.5", "-l", "2.5", "-k", "7"],
+            "alpha-limit: error: alpha must lie in [0, 1)"),
+        _case("argv7", ["shearer", "-a", "0.1", "-l", "1.5"],
+            "alpha-limit: error: lambda must exceed 2"),
+        _case("argv8", ["shearer", "-a", "-0.5", "-l", "2.5"],
+            "alpha-limit: error: alpha must lie in [0, 1)"),
+        _case("argv9", ["shearer", "-a", "0.22", "-l", "2.4", "-k", "20"],
+            "alpha-limit: error: no convergence guarantee covers this point (lambda < tau2(0.22)"),
+        _case("argv10", ["shearer", "-a", "0.1", "-l", "2.44", "-k", "10", "--tol", "nan"],
+            "tol must be a positive finite number"),
+        _case("argv11", ["shearer", "-a", "0.1", "-l", "2.44", "-k", "10", "--tol", "inf"],
+            "tol must be a positive finite number"),
+        _case("argv12", ["spectral-radius", "--edges", TREE12, "-a", "0.3", "--tol", "nan"],
+            "tol must be a positive finite number"),
+        _case("argv13", ["spectral-radius", "--edges", TREE12, "-a", "0.3", "--tol", "inf"],
+            "tol must be a positive finite number"),
+        _case("argv14", ["shearer", "-a", "0.1", "-l", "2.44", "-k", "100001"],
+            "alpha-limit: error: k must be at most 100000\n"),
+        _case("argv15", ["shearer", "-a", "0", "-l", "1e5", "-k", "3"],
+            "alpha-limit: error: G_3 would have 19114929324 vertices; at most 1000000"),
+        _case("argv16", ["shearer", "-a", "0.1", "-l", "1e300", "-k", "3"],
+            "alpha-limit: error: lambda must be below 2**512"),
+        _case("argv17", ["sweep", "--alphas", "nan,inf,0.1"],
+            "alpha-limit: error: --alphas values must be finite\n"),
+        _case("argv18", ["tables", "tau0", "--alphas", "0.1,-inf"],
+            "--alphas values must be finite"),
+        _case("argv19", ["tables", "tau0", "--start", "0.3", "--stop", "0.1", "--step", "0.1"],
+            "grid must be non-empty"),
         # cancellation in the float spine leaves no count with b_j below
         # theta', at the first vertex or in mid-spine
-        (["shearer", "-a", "0.1", "-l", "1e100", "-k", "3"],
-         "alpha-limit: error: float breakdown in the spine recurrence:"
-         " no count r_1 >= 0 keeps b_1 below theta'\n"),
-        (["shearer", "-a", "0", "-l", "237137370.56616554", "-k", "3"],
-         "alpha-limit: error: float breakdown in the spine recurrence:"
-         " no count r_2 >= 0 keeps b_2 below theta'\n"),
+        _case("argv20", ["shearer", "-a", "0.1", "-l", "1e100", "-k", "3"],
+            "alpha-limit: error: float breakdown in the spine recurrence:"
+            " no count r_1 >= 0 keeps b_1 below theta'\n"),
+        _case("argv21", ["shearer", "-a", "0", "-l", "237137370.56616554", "-k", "3"],
+            "alpha-limit: error: float breakdown in the spine recurrence:"
+            " no count r_2 >= 0 keeps b_2 below theta'\n"),
         # every grid option given is used or refused
-        (["tables", "tau0", "--start", "0", "--stop", "0.1", "--step", "0.05", "--count", "7"],
-         "alpha-limit: error: --step and --count cannot be combined\n"),
-        (["tables", "tau0", "--count", "3"],
-         "alpha-limit: error: --count needs --start and --stop\n"),
-        (["tables", "tau0", "--stop", "0.3"], "alpha-limit: error: --stop needs --start\n"),
-        (["tables", "tau0", "--alphas", "0.1", "--start", "0.2", "--stop", "0.3"],
-         "alpha-limit: error: --alphas cannot be combined with --start\n"),
-        (["sweep", "--alphas", "0.1", "--count", "3", "--step", "0.1"],
-         "alpha-limit: error: --alphas cannot be combined with --step\n"),
-        (["tables", "tau0", "--alphas", ""], "could not convert string to float"),
+        _case("argv22",
+            ["tables", "tau0", "--start", "0", "--stop", "0.1", "--step", "0.05", "--count", "7"],
+            "alpha-limit: error: --step and --count cannot be combined\n"),
+        _case("argv23", ["tables", "tau0", "--count", "3"],
+            "alpha-limit: error: --count needs --start and --stop\n"),
+        _case("argv24", ["tables", "tau0", "--stop", "0.3"],
+            "alpha-limit: error: --stop needs --start\n"),
+        _case("argv25", ["tables", "tau0", "--alphas", "0.1", "--start", "0.2", "--stop", "0.3"],
+            "alpha-limit: error: --alphas cannot be combined with --start\n"),
+        _case("argv26", ["sweep", "--alphas", "0.1", "--count", "3", "--step", "0.1"],
+            "alpha-limit: error: --alphas cannot be combined with --step\n"),
+        _case("argv27", ["tables", "tau0", "--alphas", ""], "could not convert string to float"),
     ],
 )
 def test_bad_input_is_one_line_exit_2(capsys, argv, message):
@@ -340,16 +353,17 @@ def test_non_positive_step_is_rejected_not_looped(step):
 @pytest.mark.parametrize(
     "grid, message",
     [
-        (["--start", "0", "--stop", "inf", "--step", "0.1"],
-         "--start, --stop and --step must be finite"),
-        (["--start", "nan", "--stop", "1"], "--start, --stop and --step must be finite"),
-        (["--start", "0", "--stop", "1", "--count", "100000000"],
-         "grid must have at most 100000 points"),
-        (["--start", "0", "--stop", "10000", "--step", "0.1"],
-         "grid must have at most 100000 points"),
+        _case("grid0", ["--start", "0", "--stop", "inf", "--step", "0.1"],
+            "--start, --stop and --step must be finite"),
+        _case("grid1", ["--start", "nan", "--stop", "1"],
+            "--start, --stop and --step must be finite"),
+        _case("grid2", ["--start", "0", "--stop", "1", "--count", "100000000"],
+            "grid must have at most 100000 points"),
+        _case("grid3", ["--start", "0", "--stop", "10000", "--step", "0.1"],
+            "grid must have at most 100000 points"),
         # 1e16 + 1 rounds back to 1e16, so the running value would never advance
-        (["--start", "1e16", "--stop", "10000000000000004", "--step", "1"],
-         "--step must be at least the float spacing 2.0"),
+        _case("grid4", ["--start", "1e16", "--stop", "10000000000000004", "--step", "1"],
+            "--step must be at least the float spacing 2.0"),
     ],
 )
 def test_unbounded_grid_is_refused_before_it_is_made(grid, message):
@@ -367,11 +381,13 @@ def test_unbounded_grid_is_refused_before_it_is_made(grid, message):
 @pytest.mark.parametrize(
     "grid, alphas",
     [
-        (["--start", "0.1", "--stop", "0.3", "--step", "0.1"], [0.1, 0.2, 0.3]),
-        (["--start", "0.1", "--stop", "0.3", "--count", "1"], [0.1]),
+        pytest.param(["--start", "0.1", "--stop", "0.3", "--step", "0.1"], [0.1, 0.2, 0.3],
+                     id="grid0-alphas0"),
+        pytest.param(["--start", "0.1", "--stop", "0.3", "--count", "1"], [0.1],
+                     id="grid1-alphas1"),
         # repeated addition of 0.1 would stop at 2.7
-        (["--start", "0", "--stop", "2.8", "--step", "0.1"],
-         [i / 10 for i in range(29)]),
+        pytest.param(["--start", "0", "--stop", "2.8", "--step", "0.1"],
+                     [i / 10 for i in range(29)], id="grid2-alphas2"),
     ],
 )
 def test_step_and_single_point_grids(tmp_path, grid, alphas):
@@ -391,13 +407,13 @@ def test_shearer_refusal_above_one_half_names_the_reason(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["shearer", "-a", "0.1", "-l", "2.44", "--format", "csv"],
-         "invalid choice: 'csv'"),
-        (["spectral-radius", "--edges", "e.txt", "-a", "0.3", "--format", "json"],
-         "invalid choice: 'json'"),
-        (["spectral-radius", "--edges", "e.txt", "-a", "0.3", "--format", "csv"],
-         "invalid choice: 'csv'"),
-        (["tables", "tau0", "--digits", "-1"], "argument --digits: must be >= 0"),
+        _case("argv0", ["shearer", "-a", "0.1", "-l", "2.44", "--format", "csv"],
+            "invalid choice: 'csv'"),
+        _case("argv1", ["spectral-radius", "--edges", "e.txt", "-a", "0.3", "--format", "json"],
+            "invalid choice: 'json'"),
+        _case("argv2", ["spectral-radius", "--edges", "e.txt", "-a", "0.3", "--format", "csv"],
+            "invalid choice: 'csv'"),
+        _case("argv3", ["tables", "tau0", "--digits", "-1"], "argument --digits: must be >= 0"),
     ],
 )
 def test_unimplemented_format_and_negative_digits_are_usage_errors(
@@ -431,7 +447,10 @@ def test_unreadable_edges_and_unwritable_output_are_one_line_exit_2(tmp_path, ca
 
 @pytest.mark.parametrize(
     "text, found",
-    [("0 1\n1 2\n", "found 0..2"), ("1 2\n2 4\n", "found 1..4")],
+    [
+        pytest.param("0 1\n1 2\n", "found 0..2", id="0 1\n1 2\n-found 0..2"),
+        pytest.param("1 2\n2 4\n", "found 1..4", id="1 2\n2 4\n-found 1..4"),
+    ],
 )
 def test_edge_file_numbering_is_named_in_its_own_terms(tmp_path, capsys, text, found):
     edges = tmp_path / "e.txt"

@@ -4,7 +4,7 @@
 parent links and bottom-up order only, with child lists and dicts, and
 imports nothing from `alpha_limit.diagonalize`.  The tree's `layout` and
 the matrix's `diag` must give the same tuples and the same float bits on
-every tree, both from the layout `make_caterpillar` seeds from the pendant
+every tree, both from the layout a `Caterpillar` builds from its pendant
 counts and from the generic walk over the same tree."""
 from __future__ import annotations
 
@@ -96,17 +96,17 @@ def _trees():
     return cases
 
 
-def _rebuilt(tree: RootedTree) -> RootedTree:
-    """The same tree without the layout `make_caterpillar` seeds, so that
-    its layout comes from the generic walk."""
+def _rebuilt(tree) -> RootedTree:
+    """The same tree as a checked `RootedTree`, so that its layout comes
+    from the generic walk even for a `Caterpillar`."""
     return RootedTree(tree.n, tree.parent, tree.order)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_compile_matches_reference(alpha):
-    for name, seeded in _trees():
-        want, degree = reference_plan(seeded.parent, seeded.order, alpha)
-        for tree in (seeded, _rebuilt(seeded)):
+    for name, built in _trees():
+        want, degree = reference_plan(built.parent, built.order, alpha)
+        for tree in (built, _rebuilt(built)):
             M = a_alpha_weights(tree, alpha)
             for field, value in want.items():
                 got = M.diag if field == "diag" else getattr(tree.layout, field)

@@ -512,3 +512,11 @@ def test_size_gate_refuses_before_any_tree_is_built(
         convergence_report(alpha, lam, ks)
     assert calls == {"build_shearer": built, "make_caterpillar": 0}
 
+
+def test_leafy_report_at_the_vertex_cap_stays_small():
+    # alpha = 0, lambda = 60: r = (3598, 1798, 1798, ...), so G_892 has
+    # nearly MAX_VERTICES vertices; the report reads its O(k) layout only
+    rep = convergence_report(0.0, 60.0, [892], exploratory=True)
+    (seq,) = rep.sequences
+    assert seq.k + sum(seq.r) == 998_737 <= MAX_VERTICES
+    assert rep.gap_k[0] > 0.0

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from alpha_limit import shearer
 from alpha_limit.diagonalize import dense_spectrum_oracle, spectral_radius
+from alpha_limit.shearer import build_shearer, convergence_report
 from alpha_limit.trees import (
     RootedTree,
     WeightedTreeMatrix,
@@ -62,6 +64,51 @@ def test_caterpillar_round_trip_random():
         assert _pendant_counts(tree, k) == r
         _assert_degree_sum(tree)
         _assert_bottom_up(tree)
+
+
+def _lazy_caterpillar_cases():
+    rng = random.Random(43)
+    cases = [pytest.param((m,), id=f"k=1 m={m}") for m in (0, 1, 40)]
+    cases += [pytest.param(r, id=f"k=2 r={r}") for r in ((0, 0), (0, 3), (2, 0), (1, 1))]
+    cases += [pytest.param((0, 2, 0, 1), id="r_1=0")]
+    for i in range(6):
+        r = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 30)))
+        cases.append(pytest.param(r, id=f"random {i}"))
+    for a, lam in ((0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181)):
+        for k in (1, 2, 17, 200):
+            cases.append(pytest.param(build_shearer(a, lam, k).r, id=f"G_{k} at ({a}, {lam})"))
+    return cases
+
+
+@pytest.mark.parametrize("r", _lazy_caterpillar_cases())
+def test_caterpillar_lazy_fields_are_a_checked_rooted_tree(r):
+    tree = make_caterpillar(r)
+    # the RootedTree constructor runs every structural check on the lazy
+    # parent links and order; its fields come from the generic walk
+    rebuilt = RootedTree(tree.n, tree.parent, tree.order)
+    assert tree.r == tuple(r) and tree.n == len(r) + sum(r)
+    assert rebuilt.root == tree.root == len(r) - 1
+    assert rebuilt.child_count == tree.child_count
+    assert rebuilt.degree == tree.degree
+    assert rebuilt.edges() == tree.edges()
+    assert rebuilt.layout == tree.layout
+
+
+def test_certify_path_builds_no_vertex_tuples(monkeypatch):
+    tree = make_caterpillar(build_shearer(0.1, 2.44, 200).r)
+    spectral_radius(a_alpha_weights(tree, 0.1), 1e-12)
+    built = [tree]
+
+    def keeping(r):
+        built.append(make_caterpillar(r))
+        return built[-1]
+
+    monkeypatch.setattr(shearer, "make_caterpillar", keeping)
+    convergence_report(0.01, 2.06, [25, 50, 100])
+    assert len(built) == 4
+    for t in built:
+        assert t == (t.r, t.n)  # the record holds no per-vertex tuple
+        assert not {"parent", "order", "degree"} & vars(t).keys()
 
 
 def test_caterpillar_validation():
@@ -146,6 +193,12 @@ def test_rooted_tree_validation():
 def test_tree_records_are_read_only_values():
     tree = RootedTree(n=3, parent=(1, 2, None), order=(0, 1, 2))
     assert tree == make_path(3) and hash(tree) == hash(make_path(3))
+    cat = make_caterpillar([2, 0, 1])
+    assert cat == make_caterpillar((2, 0, 1)) and hash(cat) == hash(make_caterpillar((2, 0, 1)))
+    assert cat == ((2, 0, 1), 6) and cat != RootedTree(cat.n, cat.parent, cat.order)
+    for name in ("r", "parent", "order", "degree", "layout"):
+        with pytest.raises(AttributeError):
+            setattr(cat, name, (1,))
     M = a_alpha_weights(tree, 0.25)
     assert M == WeightedTreeMatrix(tree=make_path(3), alpha=0.25)
     with pytest.raises(AttributeError):
