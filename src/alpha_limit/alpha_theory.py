@@ -13,7 +13,7 @@ from typing import NamedTuple
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
-# memoization key granularity for the threshold curves
+# the curves are evaluated and memoized at round(alpha, this), not at alpha
 _ALPHA_KEY_DIGITS = 12
 
 # lower end of every lambda bracket; all F's are defined and signed there

@@ -77,58 +77,43 @@ class ConvergenceReport(NamedTuple):
     sequences: tuple[ShearerSequence, ...]  # G_k for each sampled k
 
 
-def _spine(
-    alpha: float,
-    lam: float,
-    k: int,
-    r: Optional[Sequence[int]] = None,
-    tp: Optional[float] = None,
-    stop: Optional[int] = None,
-    prev: Optional[float] = None,
-) -> tuple[list[int], list[float]]:
-    """Lists r_j and b_j for j = 1..stop (default k): the spine pivots of
-    A_alpha - lam*I on a caterpillar of spine length k, leaf pivots folded in.
+def _spine(p: AlphaLambda, k: int, prev: Optional[float] = None) -> tuple[list[int], list[float]]:
+    """Greedy counts r_1..r_k and spine values b_1..b_k at p: the spine
+    pivots of A_alpha - lam*I on a caterpillar, leaf pivots folded in.
 
     b_j = phi(b_{j-1}) + r_j*delta, with phi replaced by alpha - lam at
     j = 1 (by phi(prev) when the value before v_1 is given); the last
     vertex v_k has one neighbour fewer, so its phi carries an extra
-    -alpha.  With r given the counts are replayed, and the replay ends
-    right after its first b_j >= 0; otherwise each r_j is the largest
-    count that keeps b_j below tp: the floor of (tp - phi)/delta, lowered
-    once when b_j fails that test.  The float operations and their order
-    are pinned bit for bit by the golden spine values in the tests.
+    -alpha.  Each r_j is the largest count that keeps b_j below theta':
+    the floor of (theta' - phi)/delta, lowered once when b_j fails that
+    test.  The float operations and their order are pinned bit for bit by
+    the golden spine values in the tests.
 
-    In exact arithmetic every greedy b_j < tp < 0 and every r_j >= 0.  At
+    In exact arithmetic every b_j < theta' < 0 and every r_j >= 0.  At
     large lam, cancellation in b_j can break that in floats; then no
     count passes the test and ValueError is raised.
     """
-    one_a2 = (1.0 - alpha) ** 2
-    d = alpha + one_a2 / (lam - alpha)
-    c = 2.0 * alpha - lam
+    a, d, tp = p.alpha, p.delta, p.theta_prime
+    one_a2 = (1.0 - a) ** 2
+    c = 2.0 * a - p.lam
     floor = math.floor
-    ph = alpha - lam if prev is None else c - one_a2 / prev
+    ph = a - p.lam if prev is None else c - one_a2 / prev
     rs, bs = [], []
-    for j in range(1, (stop or k) + 1):
+    for j in range(1, k + 1):
         if j == k:
-            ph -= alpha
-        if r is None:
-            rj = floor((tp - ph) / d)
+            ph -= a
+        rj = floor((tp - ph) / d)
+        bj = ph + rj * d
+        if bj >= tp:
+            rj -= 1
             bj = ph + rj * d
-            if bj >= tp:
-                rj -= 1
-                bj = ph + rj * d
-            if rj < 0 or bj >= tp:
-                raise ValueError(
-                    "float breakdown in the spine recurrence:"
-                    f" no count r_{j} >= 0 keeps b_{j} below theta'"
-                )
-        else:
-            rj = r[j - 1]
-            bj = ph + rj * d
+        if rj < 0 or bj >= tp:
+            raise ValueError(
+                "float breakdown in the spine recurrence:"
+                f" no count r_{j} >= 0 keeps b_{j} below theta'"
+            )
         rs.append(rj)
         bs.append(bj)
-        if bj >= 0.0 and r is not None:
-            break
         ph = c - one_a2 / bj
     return rs, bs
 
@@ -144,7 +129,7 @@ def build_shearer(alpha: float, lam: float, k: int) -> ShearerSequence:
     if k < 1:
         raise ValueError("k must be >= 1")
     p = AlphaLambda(alpha, lam)
-    r, b = _spine(alpha, lam, k, tp=p.theta_prime)
+    r, b = _spine(p, k)
     return ShearerSequence(params=p, r=tuple(r), b=tuple(b))
 
 
@@ -161,7 +146,7 @@ def _rung(top: ShearerSequence, k: int) -> ShearerSequence:
         return top
     p = top.params
     prev = top.b[k - 2] if k > 1 else None
-    (rk,), (bk,) = _spine(p.alpha, p.lam, 1, tp=p.theta_prime, prev=prev)
+    (rk,), (bk,) = _spine(p, 1, prev)
     return ShearerSequence(p, top.r[: k - 1] + (rk,), top.b[: k - 1] + (bk,))
 
 
@@ -216,14 +201,24 @@ def _past_root(seq: ShearerSequence, j: int, eps: float) -> bool:
     """True iff eps lies at or beyond the smallest positive root of
     b_j(eps), i.e. lambda - eps is at or below rho of the j-prefix.
 
-    The spine values b_1..b_j are recomputed with lambda -> lambda - eps
-    and fixed pendant counts, ending at the first non-negative one, so the
-    last value decides.  A non-negative earlier value means eps has
-    already passed that vertex's root (the roots decrease along the
-    spine), so the predicate is monotone on all of (0, lam - alpha).
+    b_1..b_j are recomputed at lambda - eps from the fixed counts, in the
+    float operations of `_spine`, up to the first non-negative one: eps
+    has then passed that vertex's root and so b_j's (the roots decrease
+    along the spine), which keeps the predicate monotone on (0, lam - alpha).
     """
-    p = seq.params
-    return _spine(p.alpha, p.lam - eps, seq.k, r=seq.r, stop=j)[1][-1] >= 0.0
+    a, lam, k = seq.params.alpha, seq.params.lam - eps, seq.k
+    one_a2 = (1.0 - a) ** 2
+    d = a + one_a2 / (lam - a)
+    c = 2.0 * a - lam
+    ph = a - lam
+    for i, ri in enumerate(seq.r[:j], start=1):
+        if i == k:
+            ph -= a
+        b = ph + ri * d
+        if b >= 0.0:
+            return True
+        ph = c - one_a2 / b
+    return False
 
 
 def epsilon_roots(seq: ShearerSequence, j_list: Iterable[int]) -> list[float]:

@@ -28,6 +28,10 @@ class TreeLayout(NamedTuple):
     max_degree: int
 
 
+def _read_only(self, name, value):
+    raise AttributeError(f"cannot set {name!r} of a {type(self).__name__}")
+
+
 class RootedTree(
     NamedTuple(
         "RootedTree",
@@ -39,6 +43,7 @@ class RootedTree(
     `parent[v]` is None exactly for the root.  `order` is a permutation of
     the vertices in which every vertex appears before its parent.
     """
+    __setattr__ = _read_only
 
     def __new__(cls, n: int, parent: tuple[Optional[int], ...], order: tuple[int, ...]):
         if n < 1 or len(parent) != n or len(order) != n:
@@ -136,10 +141,7 @@ class Caterpillar(NamedTuple("Caterpillar", [("r", tuple[int, ...]), ("n", int)]
     child_count = RootedTree.child_count
     degree = RootedTree.degree
     edges = RootedTree.edges
-
-    def __setattr__(self, name, value):
-        # parent and order are fields of a RootedTree, so they stay read-only
-        raise AttributeError(f"cannot set {name!r} of a Caterpillar")
+    __setattr__ = _read_only
 
 
 Tree = Union[RootedTree, Caterpillar]
@@ -149,6 +151,7 @@ class WeightedTreeMatrix(
     NamedTuple("WeightedTreeMatrix", [("tree", Tree), ("alpha", float)])
 ):
     """A_alpha(T) = alpha*D(T) + (1-alpha)*A(T) of a rooted tree T."""
+    __setattr__ = _read_only
 
     def __new__(cls, tree: Tree, alpha: float):
         if not 0.0 <= alpha <= 1.0:

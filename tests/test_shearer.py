@@ -16,7 +16,6 @@ from alpha_limit.shearer import (
     MAX_VERTICES,
     _past_root,
     _rung,
-    _spine,
     build_shearer,
     classify_regime,
     convergence_report,
@@ -72,14 +71,29 @@ def test_k1_convention():
     assert sigma_bound(seq) == pytest.approx(-seq.b[0] / (1 + r1 * pend), rel=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 60])
+def _full_replay(seq, eps):
+    """b_1(eps)..b_k(eps): every spine value of seq's caterpillar at
+    lambda - eps, run to the end, in the float operations of `_past_root`
+    (at eps = 0, those of `_spine`)."""
+    a = seq.params.alpha
+    lam = seq.params.lam - eps
+    one_a2 = (1.0 - a) ** 2
+    d = a + one_a2 / (lam - a)
+    ph, b = a - lam, []
+    for i, ri in enumerate(seq.r, start=1):
+        b.append(ph - a + ri * d if i == seq.k else ph + ri * d)
+        ph = 2.0 * a - lam - one_a2 / b[-1] if b[-1] else math.nan
+    return b
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 60, 400])
 def test_spine_replay_reproduces_greedy_build(k):
-    # the epsilon replay at eps = 0 runs the greedy build's recurrence
-    for a, lam in [(0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181)]:
+    # at eps = 0 the replay of the built counts runs the greedy build's
+    # recurrence, so it gives back every b_j, and none of them is >= 0
+    for a, lam in [(0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181), (0.0, 2.5), (0.25, 3.0)]:
         seq = build_shearer(a, lam, k)
-        r, b = _spine(a, lam, k, r=seq.r)
-        assert r == list(seq.r)
-        assert [x.hex() for x in b] == [x.hex() for x in seq.b]
+        assert [x.hex() for x in _full_replay(seq, 0.0)] == [x.hex() for x in seq.b]
+        assert not any(_past_root(seq, j, 0.0) for j in range(1, k + 1))
 
 
 LADDER_POINTS = [(0.1, 2.44), (0.01, 2.06), (0.1873, 2.1181), (0.0, 2.5)]
@@ -232,26 +246,11 @@ def test_epsilon_root_is_a_sign_change():
     assert b1(e1 * (1 - 1e-6)) < 0.0
 
 
-def _full_replay(seq, eps):
-    """b_1(eps)..b_k(eps): every spine value of seq's caterpillar at
-    lambda - eps, run to the end, in the float operations of `_spine`."""
-    a = seq.params.alpha
-    lam = seq.params.lam - eps
-    one_a2 = (1.0 - a) ** 2
-    d = a + one_a2 / (lam - a)
-    ph, b = a - lam, []
-    for i, ri in enumerate(seq.r, start=1):
-        b.append(ph - a + ri * d if i == seq.k else ph + ri * d)
-        ph = 2.0 * a - lam - one_a2 / b[-1] if b[-1] else math.nan
-    return b
-
-
 @pytest.mark.parametrize("k", [2, 7, 40])
 @pytest.mark.parametrize("a, lam", LADDER_POINTS)
 def test_past_root_early_stop_matches_full_replay(a, lam, k):
-    # the replay ends after j values or right after its first b_i >= 0,
-    # and its last value decides; the full replay asks whether some
-    # b_i(eps) >= 0 with i <= j
+    # the replay answers at its first b_i >= 0 with i <= j; the full
+    # replay runs every b_i(eps) and asks whether one of those is >= 0
     seq = build_shearer(a, lam, k)
     js = sorted({1, k // 2, k - 1, k} - {0})
     grid = [(lam - a) * 2.0 ** (-t / 2) for t in range(1, 100)]
@@ -259,11 +258,7 @@ def test_past_root_early_stop_matches_full_replay(a, lam, k):
     for eps in grid:
         full = _full_replay(seq, eps)
         for j in js:
-            first = next((i for i, x in enumerate(full[:j], 1) if x >= 0.0), None)
-            _, b = _spine(a, lam - eps, k, r=seq.r, stop=j)
-            assert len(b) == (j if first is None else first), (j, eps)
-            assert [x.hex() for x in b] == [x.hex() for x in full[: len(b)]]
-            assert _past_root(seq, j, eps) == (first is not None), (j, eps)
+            assert _past_root(seq, j, eps) == any(x >= 0.0 for x in full[:j]), (j, eps)
         flips += _past_root(seq, k, eps)
     assert 0 < flips < len(grid)  # the grid brackets eps_k
 

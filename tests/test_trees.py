@@ -196,15 +196,20 @@ def test_tree_records_are_read_only_values():
     cat = make_caterpillar([2, 0, 1])
     assert cat == make_caterpillar((2, 0, 1)) and hash(cat) == hash(make_caterpillar((2, 0, 1)))
     assert cat == ((2, 0, 1), 6) and cat != RootedTree(cat.n, cat.parent, cat.order)
-    for name in ("r", "parent", "order", "degree", "layout"):
-        with pytest.raises(AttributeError):
-            setattr(cat, name, (1,))
     M = a_alpha_weights(tree, 0.25)
     assert M == WeightedTreeMatrix(tree=make_path(3), alpha=0.25)
-    with pytest.raises(AttributeError):
-        tree.parent = (None, 0, 1)
-    with pytest.raises(AttributeError):
-        M.alpha = 0.5
+    # cached fields are read-only too: a planted value would reach later counts
+    for rec, names in [
+        (cat, ("r", "parent", "order", "child_count", "degree", "layout", "extra")),
+        (tree, ("parent", "child_count", "degree", "layout", "extra")),
+        (M, ("alpha", "diag", "extra")),
+    ]:
+        for name in names:
+            before = getattr(rec, name, None)
+            with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
+                setattr(rec, name, (9, 9, 9))
+            assert getattr(rec, name, None) is before, name
+    assert tree.degree == (1, 2, 1) and M.diag == (0.5, 0.25)
     assert tree.degree is tree.degree and tree.child_count is tree.child_count
     assert M.diag is M.diag
 
