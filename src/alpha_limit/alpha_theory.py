@@ -13,9 +13,6 @@ from typing import NamedTuple
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
-# the curves are evaluated and memoized at round(alpha, this), not at alpha
-_ALPHA_KEY_DIGITS = 12
-
 # lower end of every lambda bracket; all F's are defined and signed there
 _LAMBDA_LO = 2.0 + 1e-9
 
@@ -25,13 +22,6 @@ _BRACKET_START = 8.0
 _BRACKET_CAP = 2.0**40
 _BISECT_TOL = 1e-13
 _NEWTON_STEPS = 3
-
-
-def _check_alpha(alpha: float, hi_open: float = 1.0, hi_closed: bool = False):
-    ok = 0.0 <= alpha < hi_open or (hi_closed and alpha == hi_open)
-    if not ok:
-        upper = f"{hi_open}]" if hi_closed else f"{hi_open})"
-        raise ValueError(f"alpha must lie in [0, {upper}")
 
 
 def _core(lam: float, alpha: float) -> tuple[float, float, float, float, float]:
@@ -131,8 +121,8 @@ _ROOT_CURVES = {
 
 
 @lru_cache(maxsize=None)
-def _curve_root(kind: str, key: float) -> float:
-    """Root of the curve's F in (2, inf) at alpha = key.
+def _curve_root(kind: str, alpha: float) -> float:
+    """Root of the curve's F in (2, inf) at alpha.
 
     The upper bracket end doubles until F changes sign against
     F(_LAMBDA_LO); bisection narrows the bracket, then Newton steps
@@ -140,9 +130,9 @@ def _curve_root(kind: str, key: float) -> float:
     is discarded and ends the polish, so the polish cannot diverge.
     """
     F, dF = _ROOT_CURVES[kind]
-    lo, flo = _LAMBDA_LO, F(_LAMBDA_LO, key)
+    lo, flo = _LAMBDA_LO, F(_LAMBDA_LO, alpha)
     hi = _BRACKET_START
-    while not F(hi, key) * flo < 0:
+    while not F(hi, alpha) * flo < 0:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             raise ValueError("no sign change found while expanding the bracket")
@@ -150,7 +140,7 @@ def _curve_root(kind: str, key: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = F(mid, key)
+        fm = F(mid, alpha)
         if fm == 0.0:
             return mid
         if flo * fm < 0:
@@ -160,24 +150,21 @@ def _curve_root(kind: str, key: float) -> float:
     x = 0.5 * (lo + hi)
     span = max(hi - lo, _BISECT_TOL)
     for _ in range(_NEWTON_STEPS):
-        dfx = dF(x, key, _core(x, key)[1])
+        dfx = dF(x, alpha, _core(x, alpha)[1])
         if dfx == 0.0:
             break
-        xn = x - F(x, key) / dfx
+        xn = x - F(x, alpha) / dfx
         if abs(xn - x) > 4 * span:
             break
         x = xn
     return x
 
 
-def _root(kind: str, alpha: float) -> float:
-    return _curve_root(kind, round(alpha, _ALPHA_KEY_DIGITS))
-
-
 def tau0(alpha: float) -> float:
     """The starlike limit point: unique root of F0 in (2, inf)."""
-    _check_alpha(alpha, 1.0, hi_closed=True)
-    return _root("tau0", alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1.0]")
+    return _curve_root("tau0", alpha)
 
 
 def tau2(alpha: float) -> float:
@@ -185,8 +172,9 @@ def tau2(alpha: float) -> float:
 
     Defined for alpha < 1/2 only; at alpha = 1/2 the function F2 stays
     positive on all of (2, inf)."""
-    _check_alpha(alpha, 0.5)
-    return _root("tau2", alpha)
+    if not 0.0 <= alpha < 0.5:
+        raise ValueError("alpha must lie in [0, 0.5)")
+    return _curve_root("tau2", alpha)
 
 
 def tau1_interval(alpha: float) -> tuple[float, float]:
@@ -198,10 +186,10 @@ def tau1_interval(alpha: float) -> tuple[float, float]:
     a_star, _ = alpha_star()
     if not 0.0 <= alpha < a_star:
         raise ValueError(f"alpha must lie in [0, {a_star})")
-    t1 = tau0(alpha)
+    t1 = _curve_root("tau0", alpha)
     if alpha == 0.0:
         return t1, math.inf
-    return t1, _root("tau1_prime", alpha)
+    return t1, _curve_root("tau1_prime", alpha)
 
 
 def alpha_star() -> tuple[float, float]:

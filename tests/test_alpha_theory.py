@@ -159,13 +159,18 @@ def test_threshold_ordering():
 
 
 def test_tau_domain_errors():
-    with pytest.raises(ValueError):
-        tau2(0.5)
-    with pytest.raises(ValueError):
-        tau0(1.5)
+    assert tau0(0.0) > 2.0 and tau0(1.0) > 2.0  # both ends of [0, 1] included
+    assert tau2(0.0) > 2.0
+    for alpha in (1.5, -1e-300, math.nan):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\.0\]$"):
+            tau0(alpha)
+    for alpha in (0.5, math.nan):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 0\.5\)$"):
+            tau2(alpha)
     a_star_val, _ = alpha_star()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         tau1_interval(a_star_val)
+    assert str(exc.value) == f"alpha must lie in [0, {a_star_val})"
 
 
 def test_tau1_interval_alpha_zero_is_unbounded():

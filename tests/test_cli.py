@@ -12,6 +12,7 @@ import pytest
 
 import alpha_limit
 from alpha_limit import cli, shearer
+from alpha_limit.alpha_theory import _curve_root, alpha_star
 from alpha_limit.cli import main
 
 
@@ -195,6 +196,29 @@ def test_sweep_rows_sorted_by_alpha(tmp_path):
     assert code == 0
     alphas = [float(line.split(",")[0]) for line in text.strip().split("\n")[2:]]
     assert alphas == sorted(alphas)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [pytest.param([], id="default"),
+     pytest.param(["--alphas", "0,0.2,0.41000000000000003,0.55"], id="alphas")],
+)
+def test_sweep_json_taus_are_the_roots_at_the_printed_alpha(tmp_path, grid):
+    # each tau is the curve's root at the alpha printed beside it, bit for
+    # bit, also at the default grid's 0.41000000000000003 and
+    # 0.47000000000000003, whose roots differ from those at 0.41 and 0.47
+    code, text = _run_to_file(tmp_path, "s.json", ["sweep", *grid, "--format", "json"])
+    assert code == 0
+    a_star = alpha_star()[0]
+    for row in json.loads(text):
+        a = row["alpha"]
+        for kind, defined in (("tau0", True), ("tau1_prime", a < a_star), ("tau2", a < 0.5)):
+            if not defined:
+                assert row[kind] is None
+            elif kind == "tau1_prime" and a == 0.0:
+                assert row[kind] == "inf"
+            else:
+                assert row[kind] == _curve_root.__wrapped__(kind, a)
 
 
 def test_verify_identities_exit_code(capsys):

@@ -389,6 +389,9 @@ def test_classify_regime():
     assert classify_regime(0.01, 2.06) == "tau1-interval"
     assert classify_regime(0.22, 2.4) is None  # inside the open gap
     assert classify_regime(0.6, 5.0) is None  # no thresholds defined
+    # tau2(0.41000000000000003) = 4.547178079322357, above this lambda;
+    # tau2(0.41) = 4.547178079322355 is below it
+    assert classify_regime(0.41000000000000003, 4.547178079322356) is None
 
 
 def _regime_by_hand(alpha, lam):
@@ -448,6 +451,9 @@ def test_convergence_report_boundary_flag():
     assert rep.regime == "above-tau2"
     rep = convergence_report(0.1, lam + 0.01, [10])
     assert not rep.boundary
+    # lambda on tau2 at the alpha given, not on tau2(0.41) = 4.547178079322355
+    rep = convergence_report(0.41000000000000003, 4.547178079322357, [10])
+    assert rep.boundary is True
 
 
 def test_convergence_report_fields_and_determinism():
