@@ -23,6 +23,14 @@ _BRACKET_CAP = 2.0**40
 _BISECT_TOL = 1e-13
 _NEWTON_STEPS = 3
 
+# roots kept by the curve memo, least recently used dropped first.  The
+# reuse is small: a certify op asks for at most three curves at its alpha
+# (in `classify_regime`, in `boundary` and in each rung's pairing check),
+# the benchmark cycles through 12 such points and its traced curve probe
+# through 300 roots, and `tables all` keeps 28; a sweep re-reads a root
+# only within its own row.  512 roots take about 100 KB.
+CURVE_MEMO_SIZE = 512
+
 
 def _core(lam: float, alpha: float) -> tuple[float, float, float, float, float]:
     """(disc, sq, theta, theta_prime, delta): the fixed-point discriminant,
@@ -120,7 +128,7 @@ _ROOT_CURVES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_MEMO_SIZE)
 def _curve_root(kind: str, alpha: float) -> float:
     """Root of the curve's F in (2, inf) at alpha.
 

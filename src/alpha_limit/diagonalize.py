@@ -125,8 +125,11 @@ def laguerre_descent(
     eigenvalue, or rounding.  The first slow step is taken, since
     eigenvalues a little below the largest can slow the first steps (on
     Shearer caterpillars, for one).  A step of at most tol/4 is taken
-    and ends the descent.  The estimate is no bound: only inertia
-    counts prove where the radius lies.
+    and ends the descent.  So does a step after a superlinear one (at
+    most 1e-3 times the step before) when the cubic model predicts the
+    next step, step^4/last^3, to be at most tol/8: no pass is run only
+    to see it.  The estimate is no bound: only inertia counts prove
+    where the radius lies.
     """
     layout = M.tree.layout
     w = (1.0 - M.alpha) ** 2
@@ -172,6 +175,10 @@ def laguerre_descent(
             slow = True
         if step <= tol / 4:
             return c - step, passes
+        # the cubic stop; the first step has no step before it
+        if last < math.inf and step <= 1e-3 * last:
+            if step * (step / last) ** 3 <= tol / 8:
+                return c - step, passes
         c -= step
         last = step
 
@@ -267,7 +274,7 @@ def spectral_radius(
     midpoints is, so every midpoint and decision is the one the plain
     bisection makes, and neither hint can change `(lower, upper,
     iterations)`.  On the radius-trees benchmark inputs, the descent cuts
-    the passes from about 42 to about 15; a near multiple top eigenvalue
+    the passes from about 42 to about 14; a near multiple top eigenvalue
     stops the descent early, at a cost of a few passes.
     """
     if not 0.0 < tol < math.inf:

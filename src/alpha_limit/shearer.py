@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import alpha_theory as at
 from .alpha_theory import AlphaLambda
-from .diagonalize import spectral_radius
+from .diagonalize import count_margin, spectral_radius
 from .trees import a_alpha_weights, make_caterpillar
 
 # Saturation cap for the divergence sum.
@@ -357,12 +357,16 @@ def convergence_report(
     Only the largest G_k runs the greedy; every smaller one is its
     prefix plus one last-vertex floor (`_rung`).
 
-    The reported gap is lam minus the certified lower bracket end of the
-    bisection, so it is a strict upper bound on the true gap and stays
-    positive even when the spectral radius agrees with lam to within the
-    bisection tolerance.  A point outside both certified regimes raises
-    ValueError unless exploratory is set, and so do a k above MAX_K and a
-    G_k of more than MAX_VERTICES vertices, before any tree is built.
+    The reported gap is lam - (lower - eta), with lower the lower end of
+    the bisection's bracket and eta = `count_margin(M)`: the float count
+    at lower is at least 1 (or a probe or the star bound proved the
+    radius above it), so the exact count at lower - eta is at least 1,
+    and lam - rho(G_k) < gap_k is proven even where the float count at
+    lam itself is wrong.  rho_k stays the bracket's midpoint.
+
+    A point outside both certified regimes raises ValueError unless
+    exploratory is set, and so do a k above MAX_K and a G_k of more than
+    MAX_VERTICES vertices, before any tree is built.
     """
     p = AlphaLambda(alpha, lam)
     ks = sorted(set(k_samples))
@@ -389,10 +393,10 @@ def convergence_report(
     rho_l, gap_l, sig_l, qk_l, ck_l = [], [], [], [], []
     c_const = p.delta - p.theta_prime
     for k, seq in zip(ks, seqs):
-        tree = make_caterpillar(seq.r)
-        sr = spectral_radius(a_alpha_weights(tree, alpha), tol, above=lam)
+        M = a_alpha_weights(make_caterpillar(seq.r), alpha)
+        sr = spectral_radius(M, tol, above=lam)
         rho_l.append(sr.value)
-        gap_l.append(lam - sr.lower)
+        gap_l.append(lam - (sr.lower - count_margin(M)))
         sig_l.append(sigma_bound(seq))
         qk_l.append(divergence_sum(seq))
         ck_l.append(c_const / k)

@@ -85,16 +85,18 @@ class RootedTree(
     @cached_property
     def layout(self) -> TreeLayout:
         """The tree laid out for inertia counts, in one linear walk."""
-        count, up, degree = self.child_count, self.parent, self.degree
+        count, up = self.child_count, self.parent
         inner = [v for v in self.order[:-1] if count[v]] + [self.root]
         index = [0] * self.n
         for i, v in enumerate(inner):
             index[v] = i
         parent = [index[up[v]] for v in inner[:-1]] + [len(inner)]
+        degree = [count[v] + 1 for v in inner]  # children and parent
+        degree[-1] -= 1  # the root has no parent
         leaves = [count[v] for v in inner]  # children that are not inner
         for p in parent[:-1]:
             leaves[p] -= 1
-        return _layout(tuple([degree[v] for v in inner]), tuple(parent), leaves)
+        return _layout(tuple(degree), tuple(parent), leaves)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (child, parent) pairs, 0-based."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import alpha_limit
 from alpha_limit import cli, shearer
-from alpha_limit.alpha_theory import _curve_root, alpha_star
+from alpha_limit.alpha_theory import CURVE_MEMO_SIZE, _curve_root, alpha_star
 from alpha_limit.cli import main
 
 
@@ -219,6 +220,25 @@ def test_sweep_json_taus_are_the_roots_at_the_printed_alpha(tmp_path, grid):
                 assert row[kind] == "inf"
             else:
                 assert row[kind] == _curve_root.__wrapped__(kind, a)
+
+
+def test_sweep_keeps_the_curve_memo_bounded():
+    rng = random.Random(5000)
+    _curve_root.cache_clear()
+    for _ in range(5000):
+        cli._sweep_row(rng.uniform(0.0, 0.49))
+    info = _curve_root.cache_info()
+    assert info.maxsize == CURVE_MEMO_SIZE
+    assert CURVE_MEMO_SIZE < info.misses
+    assert info.currsize <= CURVE_MEMO_SIZE
+    # the reuse the bound is sized for: twelve certify points below alpha*,
+    # cycled twice, miss each of their three curves once
+    points = [rng.uniform(0.0, 0.2) for _ in range(12)]
+    _curve_root.cache_clear()
+    for a in points * 2:
+        shearer.classify_regime(a, 2.5)
+        cli._sweep_row(a)
+    assert _curve_root.cache_info().misses == 3 * len(points)
 
 
 def test_verify_identities_exit_code(capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alpha_limit.diagonalize import (
+    LAGUERRE_WIDTH,
     _initial_bracket,
     count_eigenvalues_greater,
     count_margin,
@@ -523,6 +524,21 @@ def test_laguerre_descent_reaches_star_and_p2_radii():
             assert abs(est - rho) <= 1e-12 and 1 <= passes <= 10
             if m == 1:
                 assert abs(est - 1.0) <= 1e-12
+
+
+def test_laguerre_descent_on_t_1_400_400_ends_at_the_plain_bracket():
+    # the descent starts where `spectral_radius` starts it, at the upper end
+    # of the first bracket no wider than LAGUERRE_WIDTH; at alpha = 0.5,
+    # 0.1322 and 0.9 it stops on the cubic model without another pass, and
+    # its estimate must still lie within tol/4 of the proven bracket
+    tol = 1e-12
+    tree = make_starlike_1nn(400)
+    for alpha in (0.0, 0.25, 0.5, 0.1322, 0.9):
+        M = a_alpha_weights(tree, alpha)
+        lo, hi, _ = _plain_bisection(M, LAGUERRE_WIDTH)
+        est, _ = laguerre_descent(M, hi, lo, tol)
+        lower, upper, _ = _plain_bisection(M, tol)
+        assert lower - tol / 4 <= est <= upper + tol / 4
 
 
 def test_laguerre_descent_returns_at_zero_pivots_and_alpha_1():

@@ -521,3 +521,47 @@ def test_leafy_report_at_the_vertex_cap_stays_small():
     (seq,) = rep.sequences
     assert seq.k + sum(seq.r) == 998_737 <= MAX_VERTICES
     assert rep.gap_k[0] > 0.0
+
+
+# A certify input where the float count at lambda itself is 1 for G_226
+# while the exact count is 0, so the float bracket's lower end is lambda.
+SEED_912_POINT = (0.08963834194503933, 2.1651554605367416)
+
+
+def _exact_count_at_gap(alpha, lam, seq, gap):
+    """Exact eigenvalue count of A_alpha(G_k) above lam - gap."""
+    tree = make_caterpillar(seq.r)
+    return exact_count_greater(tree.parent, tree.order, alpha, Fraction(lam) - Fraction(gap))
+
+
+def test_gap_is_proven_at_the_seed_912_point():
+    alpha, lam = SEED_912_POINT
+    rep = convergence_report(alpha, lam, [226])
+    seq, gap = rep.sequences[0], rep.gap_k[0]
+    assert _exact_count_at_gap(alpha, lam, seq, 0.0) == 0
+    assert gap > 0
+    assert _exact_count_at_gap(alpha, lam, seq, gap) >= 1
+
+
+def _regime_point(rng: random.Random, regime: str) -> tuple[float, float]:
+    while True:
+        if regime == "above-tau2":
+            alpha = rng.uniform(0.0, 0.3)
+            lam = tau2(alpha) + rng.uniform(1e-3, 0.5)
+        else:
+            alpha = rng.uniform(0.0, alpha_star()[0])
+            t1, t1p = tau1_interval(alpha)
+            lam = rng.uniform(t1, min(t1p, t1 + 0.5))
+        if classify_regime(alpha, lam) == regime:
+            return alpha, lam
+
+
+@pytest.mark.parametrize("regime", ["above-tau2", "tau1-interval"])
+def test_every_gap_is_proven_on_small_ladders(regime):
+    rng = random.Random(2612)
+    for _ in range(5):
+        alpha, lam = _regime_point(rng, regime)
+        ks = rng.sample(range(1, 65), 4)
+        rep = convergence_report(alpha, lam, ks)
+        for seq, gap in zip(rep.sequences, rep.gap_k):
+            assert _exact_count_at_gap(alpha, lam, seq, gap) >= 1, (alpha, lam, seq.k)

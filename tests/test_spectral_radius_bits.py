@@ -102,6 +102,16 @@ def test_spectral_radius_bits(name):
     assert [_case(TREES[name], a) for a in ALPHAS] == golden[name]
 
 
+@pytest.mark.parametrize("alpha, passes, descent", zip(ALPHAS, (48, 45, 11, 45), (5, 4, 3, 4)))
+def test_double_broom_keeps_its_passes(alpha, passes, descent):
+    # the double broom's descent contracts linearly, each step about 0.29
+    # times the one before, so the cubic stop rule must not fire there
+    M = a_alpha_weights(TREES["double broom 30, 12"], alpha)
+    assert spectral_radius(M, TOL).passes == passes
+    lo, hi = _initial_bracket(M)
+    assert laguerre_descent(M, hi + 1e-9, lo - 1e-9, TOL)[1] == descent
+
+
 def test_golden_lists_every_tree():
     assert list(json.loads(GOLDEN.read_text())) == list(TREES)
 
