@@ -16,19 +16,16 @@ SQRT5 = math.sqrt(5.0)
 # lower end of every lambda bracket; all F's are defined and signed there
 _LAMBDA_LO = 2.0 + 1e-9
 
-# the upper bracket end starts here and doubles up to the cap; bisection
-# stops at this width, then this many Newton steps polish the root
+# the upper bracket end starts here and doubles up to the cap
 _BRACKET_START = 8.0
 _BRACKET_CAP = 2.0**40
-_BISECT_TOL = 1e-13
-_NEWTON_STEPS = 3
 
 # roots kept by the curve memo, least recently used dropped first.  The
 # reuse is small: a certify op asks for at most three curves at its alpha
-# (in `classify_regime`, in `boundary` and in each rung's pairing check),
-# the benchmark cycles through 12 such points and its traced curve probe
-# through 300 roots, and `tables all` keeps 28; a sweep re-reads a root
-# only within its own row.  512 roots take about 100 KB.
+# (in `classify_regime` and in each rung's pairing check), the benchmark
+# cycles through 12 such points and its traced curve probe through 300
+# roots, and `tables all` keeps 28; a sweep re-reads a root only within
+# its own row.  512 roots take about 100 KB.
 CURVE_MEMO_SIZE = 512
 
 
@@ -105,27 +102,8 @@ def F3(lam: float, alpha: float) -> float:
     return delta + theta_prime
 
 
-# curve kind -> (F, dF/dlam given sq = sqrt(disc)); the root of F in
-# (2, inf) is the curve's value
-_ROOT_CURVES = {
-    "tau0": (
-        F0,
-        lambda lam, alpha, sq: -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
-        - (lam - 2.0 * alpha) / sq,
-    ),
-    "tau2": (
-        F2,
-        lambda lam, alpha, sq: -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
-        + 0.5
-        - (lam - 2.0 * alpha) / (2.0 * sq),
-    ),
-    "tau1_prime": (
-        F3,
-        lambda lam, alpha, sq: -((1.0 - alpha) ** 2) / (lam - alpha) ** 2
-        - 0.5
-        + (lam - 2.0 * alpha) / (2.0 * sq),
-    ),
-}
+# curve kind -> F; the root of F in (2, inf) is the curve's value
+_ROOT_CURVES = {"tau0": F0, "tau2": F2, "tau1_prime": F3}
 
 
 @lru_cache(maxsize=CURVE_MEMO_SIZE)
@@ -133,39 +111,29 @@ def _curve_root(kind: str, alpha: float) -> float:
     """Root of the curve's F in (2, inf) at alpha.
 
     The upper bracket end doubles until F changes sign against
-    F(_LAMBDA_LO); bisection narrows the bracket, then Newton steps
-    polish its midpoint.  A Newton step longer than four bracket widths
-    is discarded and ends the polish, so the polish cannot diverge.
+    F(_LAMBDA_LO); bisection on the sign of F then narrows the bracket
+    until its ends are adjacent doubles, and the end with the smaller |F|
+    is the root (the lower end on a tie).
     """
-    F, dF = _ROOT_CURVES[kind]
+    F = _ROOT_CURVES[kind]
     lo, flo = _LAMBDA_LO, F(_LAMBDA_LO, alpha)
-    hi = _BRACKET_START
-    while not F(hi, alpha) * flo < 0:
+    hi, fhi = _BRACKET_START, F(_BRACKET_START, alpha)
+    while not fhi * flo < 0:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             raise ValueError("no sign change found while expanding the bracket")
-    while hi - lo > _BISECT_TOL:
+        fhi = F(hi, alpha)
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
+            return hi if abs(fhi) < abs(flo) else lo
         fm = F(mid, alpha)
         if fm == 0.0:
             return mid
         if flo * fm < 0:
-            hi = mid
+            hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    x = 0.5 * (lo + hi)
-    span = max(hi - lo, _BISECT_TOL)
-    for _ in range(_NEWTON_STEPS):
-        dfx = dF(x, alpha, _core(x, alpha)[1])
-        if dfx == 0.0:
-            break
-        xn = x - F(x, alpha) / dfx
-        if abs(xn - x) > 4 * span:
-            break
-        x = xn
-    return x
 
 
 def tau0(alpha: float) -> float:

@@ -67,7 +67,6 @@ class ConvergenceReport(NamedTuple):
     alpha: float
     lam: float
     regime: str  # above-tau2 | tau1-interval | exploratory
-    boundary: bool  # lambda sits exactly on tau2
     k: tuple[int, ...]
     rho_k: tuple[float, ...]
     gap_k: tuple[float, ...]
@@ -373,7 +372,6 @@ def convergence_report(
     if ks and ks[-1] > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}")
     regime = classify_regime(alpha, lam)
-    boundary = alpha < 0.5 and lam == at.tau2(alpha)
     if regime is None:
         if not exploratory:
             raise ValueError(
@@ -404,7 +402,6 @@ def convergence_report(
         alpha=alpha,
         lam=lam,
         regime=regime,
-        boundary=boundary,
         k=tuple(ks),
         rho_k=tuple(rho_l),
         gap_k=tuple(gap_l),

@@ -3,7 +3,9 @@ threshold curves, constants and identities."""
 from __future__ import annotations
 
 import math
+import struct
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -22,6 +24,7 @@ from alpha_limit import (
     tau1_interval,
     tau2,
 )
+from alpha_limit.cli import TABLE_ALPHAS
 from alpha_limit.diagonalize import spectral_radius
 from alpha_limit.trees import a_alpha_weights, make_starlike_1nn
 
@@ -239,6 +242,86 @@ def test_threshold_curve_residuals():
     assert abs(F0(tau0(0.3), 0.3)) <= 1e-10
     assert abs(F2(tau2(0.3), 0.3)) <= 1e-10
     assert abs(F3(tau1_interval(0.1)[1], 0.1)) <= 1e-10
+
+
+# every alpha that `tables all` prints, and the default grid of `sweep`
+# (50 points from 0 to 0.49)
+CURVE_ALPHAS = sorted(
+    set(sum(TABLE_ALPHAS.values(), [])) | {0.0 + i * (0.49 / 49) for i in range(50)}
+)
+
+
+def _curve_values():
+    """(kind, F, tau, alpha) for each curve at each CURVE_ALPHAS value in
+    its range: 58 tau0, 55 tau2 and 26 finite tau1' values."""
+    a_star, _ = alpha_star()
+    for a in CURVE_ALPHAS:
+        yield "tau0", F0, tau0(a), a
+        if a < 0.5:
+            yield "tau2", F2, tau2(a), a
+        if 0.0 < a < a_star:
+            yield "tau1_prime", F3, tau1_interval(a)[1], a
+
+
+def test_each_curve_value_sits_on_a_sign_change_of_its_F():
+    def sign(x):
+        return (x > 0.0) - (x < 0.0)
+
+    off = []
+    for kind, F, t, a in _curve_values():
+        s = sign(F(t, a))
+        neighbours = (math.nextafter(t, 0.0), math.nextafter(t, math.inf))
+        if s != 0 and all(sign(F(x, a)) == s for x in neighbours):
+            off.append((kind, a, t))
+    assert off == []
+
+
+def _decimal_root(kind: str, alpha: float) -> Decimal:
+    """The curve's root in (2, inf), by bisection on F in 60-digit
+    decimal arithmetic at the exact binary alpha."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(alpha)
+
+        def F(lam):
+            sq = ((2 * a - lam) ** 2 - 4 * (1 - a) ** 2).sqrt()
+            theta_prime = 2 * (1 - a) ** 2 / ((2 * a - lam) - sq)
+            delta = a + (1 - a) ** 2 / (lam - a)
+            if kind == "tau0":
+                return delta - sq
+            if kind == "tau2":
+                return -1 + a + delta - theta_prime
+            return delta + theta_prime
+
+        lo = 2 + Decimal("1e-20")
+        positive_lo = F(lo) > 0
+        hi = Decimal(8)
+        while (F(hi) > 0) == positive_lo:
+            hi *= 2
+        while hi - lo > hi * Decimal("1e-50"):
+            mid = (lo + hi) / 2
+            if (F(mid) > 0) == positive_lo:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def test_curve_values_against_a_decimal_reference():
+    def doubles_apart(x: float, y: float) -> int:  # both positive
+        return abs(struct.unpack("<q", struct.pack("<d", x))[0]
+                   - struct.unpack("<q", struct.pack("<d", y))[0])
+
+    worst = {"tau0": 0, "tau2": 0, "tau1_prime": 0}
+    for kind, _, t, a in _curve_values():
+        # float() of a Decimal rounds correctly
+        worst[kind] = max(worst[kind], doubles_apart(t, float(_decimal_root(kind, a))))
+    # the float F of tau2 and tau1' is noisy near the root, so those
+    # values are not all correctly rounded; these bounds only keep them
+    # from drifting further
+    assert worst["tau0"] <= 1
+    assert worst["tau2"] <= 28
+    assert worst["tau1_prime"] <= 493
 
 
 def test_concurrent_calls_match_serial():

@@ -444,18 +444,6 @@ def test_convergence_report_refusal_and_exploratory():
     assert len(rep.rho_k) == 1 and rep.gap_k[0] > 0
 
 
-def test_convergence_report_boundary_flag():
-    lam = tau2(0.1)
-    rep = convergence_report(0.1, lam, [10])
-    assert rep.boundary
-    assert rep.regime == "above-tau2"
-    rep = convergence_report(0.1, lam + 0.01, [10])
-    assert not rep.boundary
-    # lambda on tau2 at the alpha given, not on tau2(0.41) = 4.547178079322355
-    rep = convergence_report(0.41000000000000003, 4.547178079322357, [10])
-    assert rep.boundary is True
-
-
 def test_convergence_report_fields_and_determinism():
     rep1 = convergence_report(0.1, 2.44, [10, 20])
     rep2 = convergence_report(0.1, 2.44, [20, 10])
