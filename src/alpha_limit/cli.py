@@ -3,6 +3,8 @@ and the invariant verification suites."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import random
@@ -13,6 +15,7 @@ from . import alpha_theory as at
 from . import shearer as sh
 from .diagonalize import (
     count_eigenvalues_greater,
+    count_margin,
     dense_spectrum_oracle,
     spectral_radius,
 )
@@ -40,11 +43,11 @@ TABLE_ALPHAS = {
 }
 
 
-# Curve values each table reports, in column order, and every column of
-# the csv and json table layouts.
+# Curve values each table reports, in column order, every curve column of
+# the csv and json table layouts, and the csv columns of a sweep.
 TABLE_COLUMNS = {"tau0": ("tau0",), "tau2": ("tau2",), "tau1": ("tau1", "tau1_prime")}
 CURVE_KEYS = ("tau0", "tau1", "tau1_prime", "tau2")
-SWEEP_KEYS = ("tau0", "tau1_prime", "tau2")
+SWEEP_COLUMNS = ("alpha", "tau0", "tau1_prime", "tau2", "label")
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -53,23 +56,32 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _json_value(v: Optional[float]):
-    """An undefined threshold is null; an infinite one is the string "inf"."""
-    if v is not None and math.isinf(v):
-        return "inf"
-    return v
+def _rows_out(fmt: str, rows, keys, header: str, digits: int):
+    """The output of `rows` (dicts), one row at a time: a JSON array of the
+    whole dicts, framed as `json.dumps(list, indent=2)` frames it, with an
+    infinite value as "inf" and an undefined one as null; or csv lines of
+    the `keys` columns under `header`, an undefined value left empty."""
+    if fmt == "json":
+        sep = "[\n  "
+        for row in rows:
+            row = {k: "inf" if isinstance(v, float) and math.isinf(v) else v
+                   for k, v in row.items()}
+            yield sep + json.dumps(row, indent=2).replace("\n", "\n  ")
+            sep = ",\n  "
+        yield "\n]\n"
+        return
+    yield f"{HEADER}\n{header}\n"
+    for row in rows:
+        cells = ("" if v is None else v if isinstance(v, str) else _fmt(v, digits)
+                 for v in map(row.__getitem__, keys))
+        yield ",".join(cells) + "\n"
 
 
-def _csv_cell(v: Optional[float], digits: int) -> str:
-    return "" if v is None else _fmt(v, digits)
-
-
-def _emit(text: str, output: Optional[str]):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, output: Optional[str]):
+    """Write each string of `chunks` as it is made, into `output` or stdout."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _curve_value(kind: str, alpha: float) -> Optional[float]:
@@ -83,34 +95,26 @@ def _curve_value(kind: str, alpha: float) -> Optional[float]:
 def cmd_tables(args) -> int:
     kinds = list(TABLE_COLUMNS) if args.which == "all" else [args.which]
     alphas = _parse_grid(args)
-    rows = [
-        (kind, a, {key: _curve_value(key, a) for key in TABLE_COLUMNS[kind]})
+    rows = (
+        {"curve": kind, "alpha": a}
+        | {key: _curve_value(key, a) if key in TABLE_COLUMNS[kind] else None
+           for key in CURVE_KEYS}
         for kind in kinds
         for a in (alphas if alphas is not None else TABLE_ALPHAS[kind])
-    ]
+    )
     d = args.digits
-    if args.format == "json":
-        payload = [
-            {"curve": kind, "alpha": a}
-            | {key: _json_value(vals.get(key)) for key in CURVE_KEYS}
-            for kind, a, vals in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    lines = [HEADER]
-    if args.format == "csv":
-        lines.append(",".join(("alpha",) + CURVE_KEYS))
-        for _, a, vals in rows:
-            cells = [_fmt(a, d)] + [_csv_cell(vals.get(key), d) for key in CURVE_KEYS]
-            lines.append(",".join(cells))
+    if args.format == "text":
+        lines = (
+            f"alpha={_fmt(row['alpha'], d)}  " + "  ".join(
+                f"{key}=" + ("undefined" if row[key] is None else _fmt(row[key], d))
+                for key in TABLE_COLUMNS[row["curve"]]
+            ) + "\n"
+            for row in rows
+        )
+        _emit(itertools.chain([HEADER + "\n"], lines), args.output)
     else:
-        for _, a, vals in rows:
-            vals_text = (
-                f"{key}=" + ("undefined" if v is None else _fmt(v, d))
-                for key, v in vals.items()
-            )
-            lines.append(f"alpha={_fmt(a, d)}  " + "  ".join(vals_text))
-    _emit("\n".join(lines) + "\n", args.output)
+        keys = ("alpha",) + CURVE_KEYS
+        _emit(_rows_out(args.format, rows, keys, ",".join(keys), d), args.output)
     return 0
 
 
@@ -135,7 +139,7 @@ def cmd_shearer(args) -> int:
             "Qk": report.Qk[0],
             "c_over_k": report.c_over_k[0],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.output)
         return 0
     lines = [HEADER]
     lines.append(f"alpha={_fmt(a, d)} lambda={_fmt(lam, d)} k={k} regime={report.regime}")
@@ -154,7 +158,7 @@ def cmd_shearer(args) -> int:
             lines.append(
                 f"  b_{e.left} * b_{e.right} = {_fmt(e.product, d)}  {mark}"
             )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return 0
 
 
@@ -175,20 +179,10 @@ def _sweep_row(a: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    results = [_sweep_row(a) for a in _parse_grid(args, 0.0, 0.49, 50)]
-    results.sort(key=lambda row: row["alpha"])
-    d = args.digits
-    if args.format == "json":
-        payload = [
-            row | {key: _json_value(row[key]) for key in SWEEP_KEYS} for row in results
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    lines = [HEADER, "alpha,tau0,tau1_prime,tau2,regime"]
-    for row in results:
-        cells = [_fmt(row["alpha"], d)] + [_csv_cell(row[key], d) for key in SWEEP_KEYS]
-        lines.append(",".join(cells + [row["label"]]))
-    _emit("\n".join(lines) + "\n", args.output)
+    # a row depends only on its alpha, so sorting the grid sorts the rows
+    rows = map(_sweep_row, sorted(_parse_grid(args, 0.0, 0.49, 50)))
+    header = "alpha,tau0,tau1_prime,tau2,regime"
+    _emit(_rows_out(args.format, rows, SWEEP_COLUMNS, header, args.digits), args.output)
     return 0
 
 
@@ -302,9 +296,10 @@ def cmd_spectral_radius(args) -> int:
     tree = tree_from_edge_list(_read_edges(args.edges))
     M = a_alpha_weights(tree, args.alpha)
     res = spectral_radius(M, args.tol)
+    eta = count_margin(M)  # the float counts are proven only to within eta
     _emit(
-        f"{HEADER}\nrho = {_fmt(res.value, max(args.digits, 16))} "
-        f"(bracket [{res.lower!r}, {res.upper!r}], {res.iterations} iterations)\n",
+        [f"{HEADER}\nrho = {_fmt(res.value, max(args.digits, 16))} "
+         f"(bracket [{res.lower - eta!r}, {res.upper + eta!r}], {res.iterations} iterations)\n"],
         args.output,
     )
     return 0

@@ -222,6 +222,48 @@ def test_sweep_json_taus_are_the_roots_at_the_printed_alpha(tmp_path, grid):
                 assert row[kind] == _curve_root.__wrapped__(kind, a)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writes_each_row_as_it_is_made(monkeypatch, fmt):
+    made = 0
+    make = cli._sweep_row
+
+    def counting(a):
+        nonlocal made
+        made += 1
+        return make(a)
+
+    writes = []  # (rows made at the write, text written)
+
+    class Recorder:
+        def write(self, text):
+            writes.append((made, text))
+
+    def rows_in(text):
+        if fmt == "json":
+            return text.count('"label":')
+        return sum(not line.startswith(("#", "alpha,")) for line in text.splitlines())
+
+    monkeypatch.setattr(cli, "_sweep_row", counting)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["sweep", "--count", "20", "--format", fmt]) == 0
+    monkeypatch.undo()
+    written = 0
+    for made_then, text in writes:
+        assert made_then <= written + 1
+        written += rows_in(text)
+    assert written == made == 20
+    if fmt == "json":
+        assert len(json.loads("".join(text for _, text in writes))) == 20
+
+
+@pytest.mark.parametrize("cmd", [["tables", "tau0"], ["sweep"]])
+def test_refused_grid_leaves_no_output_file(tmp_path, capsys, cmd):
+    out = tmp_path / "out.txt"
+    _assert_one_line_error(capsys, cmd + ["--start", "0", "--stop", "1", "--count", "0",
+                                          "-o", str(out)])
+    assert not out.exists()
+
+
 def test_sweep_keeps_the_curve_memo_bounded():
     rng = random.Random(5000)
     _curve_root.cache_clear()
@@ -284,6 +326,21 @@ def test_spectral_radius_bracket_holds_the_radius_at_alpha_1(tmp_path):
     edges.write_text("1 2\n")
     code, text = _run_to_file(
         tmp_path, "rho.txt", ["spectral-radius", "--edges", str(edges), "-a", "1"]
+    )
+    assert code == 0
+    lower, upper = map(float, text.split("bracket [")[1].split("]")[0].split(", "))
+    assert lower < 1.0 <= upper
+
+
+def test_spectral_radius_prints_the_proven_bracket(tmp_path):
+    # A_alpha(P_2) has the radius 1 at every alpha; at this alpha the float
+    # count above 1 is 1 where the exact count is 0, so the bisection's own
+    # lower end is 1.0, and only lower - count_margin lies below the radius
+    edges = tmp_path / "p2.txt"
+    edges.write_text("1 2\n")
+    code, text = _run_to_file(
+        tmp_path, "rho.txt",
+        ["spectral-radius", "--edges", str(edges), "-a", "0.17584436767598854"],
     )
     assert code == 0
     lower, upper = map(float, text.split("bracket [")[1].split("]")[0].split(", "))

@@ -23,6 +23,12 @@ COMMANDS = {
     "tables_all_json": ["tables", "all", "--format", "json"],
     "sweep_text": ["sweep"],
     "sweep_json": ["sweep", "--format", "json"],
+    # an unsorted grid with a repeat, both zeros, "inf" at 0 and nulls at
+    # alpha >= 1/2
+    "sweep_grid_json": ["sweep", "--alphas", "0.3,0,-0.0,0.3,0.6", "--format", "json"],
+    "sweep_grid_csv": ["sweep", "--alphas", "0.3,0,-0.0,0.3,0.6", "--format", "csv"],
+    "tables_all_grid_json": ["tables", "all", "--alphas", "0,1e-5,0.6", "--format", "json"],
+    "tables_all_grid_csv": ["tables", "all", "--alphas", "0,1e-5,0.6", "--format", "csv"],
     "verify_all": ["verify", "all"],
     "shearer_01_244_text": ["shearer", "-a", "0.1", "-l", "2.44", "-k", "100"],
     "shearer_01_244_json": ["shearer", "-a", "0.1", "-l", "2.44", "-k", "100",
