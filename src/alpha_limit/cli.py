@@ -16,7 +16,6 @@ from . import shearer as sh
 from .diagonalize import (
     count_eigenvalues_greater,
     count_margin,
-    dense_spectrum_oracle,
     spectral_radius,
 )
 from .trees import (
@@ -56,18 +55,25 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
+# `_rows_out`'s JSON row: the object's inside, one key per line.
+_json_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
 def _rows_out(fmt: str, rows, keys, header: str, digits: int):
     """The output of `rows` (dicts), one row at a time: a JSON array of the
     whole dicts, framed as `json.dumps(list, indent=2)` frames it, with an
     infinite value as "inf" and an undefined one as null; or csv lines of
-    the `keys` columns under `header`, an undefined value left empty."""
+    the `keys` columns under `header`, an undefined value left empty.
+    A row is flat, so the C encoder writes it whole: its item separator
+    breaks the line and indents the next key as the indenting encoder
+    (pure Python) would."""
     if fmt == "json":
-        sep = "[\n  "
+        sep = "[\n  {\n    "
         for row in rows:
             row = {k: "inf" if isinstance(v, float) and math.isinf(v) else v
                    for k, v in row.items()}
-            yield sep + json.dumps(row, indent=2).replace("\n", "\n  ")
-            sep = ",\n  "
+            yield sep + _json_row(row)[1:-1] + "\n  }"
+            sep = ",\n  {\n    "
         yield "\n]\n"
         return
     yield f"{HEADER}\n{header}\n"
@@ -191,7 +197,75 @@ def _random_tree(rng: random.Random, n: int) -> RootedTree:
     return RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
 
 
+def _exact_count_greater(tree: RootedTree, alpha, c) -> Optional[int]:
+    """Eigenvalues of A_alpha(tree) above c, counted exactly, or None when
+    this elimination cannot decide the count.
+
+    It reads only `tree.degree` and `tree.edges()`, so it shares no code
+    with the inertia pass it checks.  alpha and c are taken exactly (a
+    float as the binary value it holds, or a Fraction), and with den the
+    product of their denominators, den * (M - cI) is an integer matrix.
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) runs on its
+    upper triangle (A[i][k] = A[k][i] below it) and leaves the leading
+    principal minor D_k as the k-th pivot, every division exact.  By
+    Jacobi's rule each D_k with the sign of D_(k-1), D_0 = 1, is one
+    positive eigenvalue.  A zero pivot is swapped, symmetrically, with the
+    first later nonzero diagonal entry.  The block still to eliminate is
+    the last pivot times the Schur complement of the rows eliminated, so
+    once its diagonal is all zero, the block adds only zero eigenvalues if
+    it is all zero (Haynsworth's inertia additivity), and otherwise the
+    count is undecided and the result is None."""
+    p, q = alpha.as_integer_ratio()
+    r, s = c.as_integer_ratio()
+    b, shift, w = p * s, r * q, (q - p) * s  # den * (alpha, c, 1 - alpha)
+    degree = tree.degree
+    n = len(degree)
+    A = [[0] * n for _ in range(n)]
+    for i, d in enumerate(degree):
+        A[i][i] = b * d - shift
+    for u, v in tree.edges():
+        A[min(u, v)][max(u, v)] = w
+    prev, pos = 1, 0
+    for k in range(n):
+        if A[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if A[j][j]), None)
+            if j is None:
+                return None if any(any(A[i][i:]) for i in range(k, n)) else pos
+            # relabel k and j in the remaining block, stored above the diagonal
+            A[k][k], A[j][j] = A[j][j], A[k][k]
+            for m in range(k + 1, j):
+                A[k][m], A[m][j] = A[m][j], A[k][m]
+            for m in range(j + 1, n):
+                A[k][m], A[j][m] = A[j][m], A[k][m]
+        row = A[k]
+        d = row[k]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        for i in range(k + 1, n):
+            ri, e = A[i], row[i]
+            for m in range(i, n):
+                ri[m] = (d * ri[m] - e * row[m]) // prev
+        prev = d
+    return pos
+
+
+def _within_margin(
+    tree: RootedTree, alpha: float, c: float, eta: float, count: int, cap: int
+) -> bool:
+    """min(exact(c + eta), cap) <= count <= min(exact(c - eta), cap): what
+    `count_margin` proves of a float count capped at cap."""
+    from fractions import Fraction  # imported only when a float count differs
+
+    c, eta = Fraction(c), Fraction(eta)
+    lo, hi = (_exact_count_greater(tree, alpha, x) for x in (c + eta, c - eta))
+    return lo is not None and hi is not None and min(lo, cap) <= count <= min(hi, cap)
+
+
 def verify_inertia(trials: int = 200, log=print) -> bool:
+    """Check `count_eigenvalues_greater`, and its count capped at 1, with
+    the exact count of `_exact_count_greater` on seeded random trees.  A
+    float count that differs from it passes only inside the margin bracket
+    of `count_margin`; an undecided exact count fails."""
     rng = random.Random(20240817)
     ok = True
     for t in range(trials):
@@ -200,16 +274,20 @@ def verify_inertia(trials: int = 200, log=print) -> bool:
         alpha = rng.random()
         c = rng.uniform(-4.0, 4.0)
         M = a_alpha_weights(tree, alpha)
-        spec = dense_spectrum_oracle(M)
-        pos = sum(1 for ev in spec if ev > c + 1e-8)
+        pos = _exact_count_greater(tree, alpha, c)
+        if pos is None:
+            log(f"FAIL inertia trial {t}: exact count at c = {c!r} undecided")
+            ok = False
+            continue
+        eta = count_margin(M)
         # the inertia pass behind every spectral radius
         n_greater = count_eigenvalues_greater(M, c)
-        if n_greater != pos:
+        if n_greater != pos and not _within_margin(tree, alpha, c, eta, n_greater, n):
             log(f"FAIL inertia trial {t}: count_eigenvalues_greater {n_greater} vs {pos}")
             ok = False
         # the capped count each bisection step asks for
         capped = count_eigenvalues_greater(M, c, at_most=1)
-        if capped != min(pos, 1):
+        if capped != min(pos, 1) and not _within_margin(tree, alpha, c, eta, capped, 1):
             log(f"FAIL inertia trial {t}: count capped at 1 is {capped} vs {min(pos, 1)}")
             ok = False
     log(f"{'PASS' if ok else 'FAIL'} inertia: {trials} random trees vs dense oracle")

@@ -10,11 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import alpha_limit
 from alpha_limit import cli, shearer
 from alpha_limit.alpha_theory import CURVE_MEMO_SIZE, _curve_root, alpha_star
 from alpha_limit.cli import main
+from alpha_limit.diagonalize import count_eigenvalues_greater, count_margin
+from alpha_limit.trees import RootedTree, a_alpha_weights, make_path
+from exact_inertia import exact_count_greater
 
 
 TREE12 = str(Path(__file__).parent / "golden" / "tree12.edges")
@@ -306,6 +310,60 @@ def test_verify_inertia_checks_the_compiled_kernel(monkeypatch):
         assert all(kind in line for line in lines[:-1])
 
 
+@st.composite
+def small_trees(draw):
+    """A random tree on 2 to 12 vertices, the sizes `verify inertia` draws."""
+    n = draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parent = (None,) + tuple(rng.randrange(v) for v in range(1, n))
+    return RootedTree(n=n, parent=parent, order=tuple(range(n - 1, -1, -1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(tree=small_trees(), alpha=st.floats(0.0, 1.0), c=st.floats(-4.0, 4.0))
+def test_exact_count_matches_the_pivots_and_eigvalsh(tree, alpha, c):
+    np = pytest.importorskip("numpy")
+    count = cli._exact_count_greater(tree, alpha, c)
+    # undecided only where what remains has a zero diagonal and an edge,
+    # as on P_2 at c = alpha (alpha = c = 0 included)
+    assume(count is not None)
+    assert count == exact_count_greater(tree.parent, tree.order, alpha, c)
+    ev = np.linalg.eigvalsh(a_alpha_weights(tree, alpha).dense())
+    if np.all(np.abs(ev - c) > 1e-9):
+        assert count == np.sum(ev > c)
+
+
+def test_exact_count_where_a_leading_minor_is_zero():
+    # P_2 at c = 1, an eigenvalue: D_1 = alpha - 1 and D_2 = 0, the zero
+    # remainder; the float count reads 1 there, within its margin
+    a = 0.17584436767598854
+    M = a_alpha_weights(make_path(2), a)
+    assert cli._exact_count_greater(M.tree, a, 1.0) == 0
+    assert count_eigenvalues_greater(M, 1.0) == 1
+    assert cli._within_margin(M.tree, a, 1.0, count_margin(M), 1, 2)
+    # P_3 at c = alpha, whose eigenvalues are alpha and (3 alpha +-
+    # sqrt(alpha^2 + 8 (1 - alpha)^2)) / 2: the end vertex 0 gives D_1 = 0,
+    # so vertex 1 is swapped in; with the center last, vertex 2 is swapped
+    # in past vertex 1, and the edge {1, 2} moves with it
+    cherry = RootedTree(n=3, parent=(2, 2, None), order=(0, 1, 2))
+    for a in (0.25, 0.3):
+        assert cli._exact_count_greater(make_path(3), a, a) == 1
+        assert cli._exact_count_greater(cherry, a, a) == 1
+    # at alpha = 1 and c = 1 the matrix of P_2 is zero
+    assert cli._exact_count_greater(make_path(2), 1.0, 1.0) == 0
+
+
+def test_verify_inertia_fails_an_undecided_count(monkeypatch):
+    # at alpha = c = 0 the diagonal is zero and the edges are not
+    assert cli._exact_count_greater(make_path(2), 0.0, 0.0) is None
+    exact = cli._exact_count_greater
+    monkeypatch.setattr(cli, "_exact_count_greater", lambda tree, alpha, c: exact(tree, 0.0, 0.0))
+    lines = []
+    assert cli.verify_inertia(trials=5, log=lines.append) is False
+    assert len(lines) == 6 and all("undecided" in line for line in lines[:-1])
+    assert lines[-1] == "FAIL inertia: 5 random trees vs dense oracle"
+
+
 def test_spectral_radius_subcommand(tmp_path):
     edges = tmp_path / "star.txt"
     edges.write_text("# star on five vertices\n1 2\n1 3\n1 4\n1 5\n")
@@ -574,3 +632,25 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert p.returncode == 0, p.stderr
     assert p.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_no_cli_command_needs_numpy(blocked):
+    # every subcommand, verify all included, runs with numpy unloaded, and
+    # with numpy made unimportable
+    commands = [["verify", "all"], ["tables", "all", "--format", "json"], ["sweep"],
+                ["shearer", "-a", "0.01", "-l", "2.06", "-k", "100"],
+                ["spectral-radius", "--edges", TREE12, "-a", "0.1"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(alpha_limit.__file__).parents[1]))
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         + ("sys.modules['numpy'] = None\n" if blocked else "")
+         + "from alpha_limit.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    codes = [main(argv) for argv in {commands!r}]\n"
+         "print(codes, 'numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == f"{[0] * len(commands)} {blocked}\n"
