@@ -5,24 +5,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import math
-import random
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+# The other modules, json and random are imported by the commands that
+# run them, so `tables` and `sweep` load alpha_theory alone.
 from . import alpha_theory as at
-from . import shearer as sh
-from .diagonalize import (
-    count_eigenvalues_greater,
-    count_margin,
-    spectral_radius,
-)
-from .trees import (
-    RootedTree,
-    a_alpha_weights,
-    tree_from_edge_list,
-)
+
+if TYPE_CHECKING:
+    from .trees import RootedTree
 
 HEADER = "# alpha-limit v1"
 
@@ -55,10 +47,6 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-# `_rows_out`'s JSON row: the object's inside, one key per line.
-_json_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-
-
 def _rows_out(fmt: str, rows, keys, header: str, digits: int):
     """The output of `rows` (dicts), one row at a time: a JSON array of the
     whole dicts, framed as `json.dumps(list, indent=2)` frames it, with an
@@ -68,11 +56,15 @@ def _rows_out(fmt: str, rows, keys, header: str, digits: int):
     breaks the line and indents the next key as the indenting encoder
     (pure Python) would."""
     if fmt == "json":
+        import json
+
+        # the object's inside, one key per line
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
         sep = "[\n  {\n    "
         for row in rows:
             row = {k: "inf" if isinstance(v, float) and math.isinf(v) else v
                    for k, v in row.items()}
-            yield sep + _json_row(row)[1:-1] + "\n  }"
+            yield sep + encode(row)[1:-1] + "\n  }"
             sep = ",\n  {\n    "
         yield "\n]\n"
         return
@@ -125,6 +117,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_shearer(args) -> int:
+    from . import shearer as sh
+
     a, lam, k = args.alpha, args.lam, args.k
     report = sh.convergence_report(
         a, lam, [k], exploratory=args.exploratory, tol=args.tol
@@ -132,6 +126,8 @@ def cmd_shearer(args) -> int:
     seq = report.sequences[0]
     d = args.digits
     if args.format == "json":
+        import json
+
         payload = {
             "alpha": a,
             "lambda": lam,
@@ -192,60 +188,49 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _random_tree(rng: random.Random, n: int) -> RootedTree:
-    parent = [None] + [rng.randrange(v) for v in range(1, n)]
-    return RootedTree(n=n, parent=tuple(parent), order=tuple(range(n - 1, -1, -1)))
+def _exact_count_greater(tree: RootedTree, alpha, c) -> int:
+    """Eigenvalues of A_alpha(tree) above c, counted exactly.
 
-
-def _exact_count_greater(tree: RootedTree, alpha, c) -> Optional[int]:
-    """Eigenvalues of A_alpha(tree) above c, counted exactly, or None when
-    this elimination cannot decide the count.
-
-    It reads only `tree.degree` and `tree.edges()`, so it shares no code
-    with the inertia pass it checks.  alpha and c are taken exactly (a
-    float as the binary value it holds, or a Fraction), and with den the
-    product of their denominators, den * (M - cI) is an integer matrix.
-    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) runs on its
-    upper triangle (A[i][k] = A[k][i] below it) and leaves the leading
-    principal minor D_k as the k-th pivot, every division exact.  By
-    Jacobi's rule each D_k with the sign of D_(k-1), D_0 = 1, is one
-    positive eigenvalue.  A zero pivot is swapped, symmetrically, with the
-    first later nonzero diagonal entry.  The block still to eliminate is
-    the last pivot times the Schur complement of the rows eliminated, so
-    once its diagonal is all zero, the block adds only zero eigenvalues if
-    it is all zero (Haynsworth's inertia additivity), and otherwise the
-    count is undecided and the result is None."""
+    alpha and c are taken exactly (a float as the binary value it holds,
+    or a Fraction), and with den the product of their denominators,
+    den * (M - cI) has the integer diagonal entries b deg(v) - shift and
+    the integer edge entry w.  Its pivots are found leaves first along
+    `tree.order` (Jacobs and Trevisan, LAA 434, 2011), each held as an
+    unreduced integer fraction whose denominator stays positive, so its
+    sign is its numerator's: a vertex's pivot is its diagonal entry less
+    w^2 / d_u over its children u.  A zero child pivot takes the exact
+    zero rule instead: that child's pivot becomes positive (2), the
+    vertex's negative (-w^2 / 2), and the vertex leaves its parent.  The
+    positive pivots are the count (Sylvester's law of inertia), so every
+    count is decided.  The rule is a congruence only for w != 0; at
+    alpha = 1 the matrix is diagonal and is counted from its diagonal.
+    It reads only `tree.order`, `tree.parent` and `tree.degree`, not the
+    `layout` the float pass reads, and shares no code with that pass; the
+    tests also check it against a dense elimination."""
     p, q = alpha.as_integer_ratio()
     r, s = c.as_integer_ratio()
     b, shift, w = p * s, r * q, (q - p) * s  # den * (alpha, c, 1 - alpha)
-    degree = tree.degree
-    n = len(degree)
-    A = [[0] * n for _ in range(n)]
-    for i, d in enumerate(degree):
-        A[i][i] = b * d - shift
-    for u, v in tree.edges():
-        A[min(u, v)][max(u, v)] = w
-    prev, pos = 1, 0
-    for k in range(n):
-        if A[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if A[j][j]), None)
-            if j is None:
-                return None if any(any(A[i][i:]) for i in range(k, n)) else pos
-            # relabel k and j in the remaining block, stored above the diagonal
-            A[k][k], A[j][j] = A[j][j], A[k][k]
-            for m in range(k + 1, j):
-                A[k][m], A[m][j] = A[m][j], A[k][m]
-            for m in range(j + 1, n):
-                A[k][m], A[j][m] = A[j][m], A[k][m]
-        row = A[k]
-        d = row[k]
-        if (d > 0) == (prev > 0):
-            pos += 1
-        for i in range(k + 1, n):
-            ri, e = A[i], row[i]
-            for m in range(i, n):
-                ri[m] = (d * ri[m] - e * row[m]) // prev
-        prev = d
+    if not w:
+        return sum(b * d > shift for d in tree.degree)
+    w2, parent = w * w, tree.parent
+    num = [b * d - shift for d in tree.degree]
+    den = [1] * len(num)
+    paired = [False] * len(num)  # a child's pivot was zero
+    pos = 0
+    for v in tree.order:
+        if paired[v]:
+            pos += 1  # the zero child's pivot is now 2, and v leaves its parent
+            continue
+        x, y, u = num[v], den[v], parent[v]
+        pos += x > 0
+        if u is None:
+            continue
+        if x == 0:
+            paired[u] = True
+            continue
+        if x < 0:
+            x, y = -x, -y  # w^2 d_v^-1 = w^2 y / x with x > 0
+        num[u], den[u] = num[u] * x - w2 * y * den[u], den[u] * x
     return pos
 
 
@@ -258,35 +243,36 @@ def _within_margin(
 
     c, eta = Fraction(c), Fraction(eta)
     lo, hi = (_exact_count_greater(tree, alpha, x) for x in (c + eta, c - eta))
-    return lo is not None and hi is not None and min(lo, cap) <= count <= min(hi, cap)
+    return min(lo, cap) <= count <= min(hi, cap)
 
 
 def verify_inertia(trials: int = 200, log=print) -> bool:
     """Check `count_eigenvalues_greater`, and its count capped at 1, with
     the exact count of `_exact_count_greater` on seeded random trees.  A
     float count that differs from it passes only inside the margin bracket
-    of `count_margin`; an undecided exact count fails."""
+    of `count_margin`."""
+    import random
+
+    from . import diagonalize as dg, trees
+
     rng = random.Random(20240817)
     ok = True
     for t in range(trials):
         n = rng.randint(2, 12)
-        tree = _random_tree(rng, n)
+        parent = (None,) + tuple(rng.randrange(v) for v in range(1, n))
+        tree = trees.RootedTree(n=n, parent=parent, order=tuple(range(n - 1, -1, -1)))
         alpha = rng.random()
         c = rng.uniform(-4.0, 4.0)
-        M = a_alpha_weights(tree, alpha)
+        M = trees.a_alpha_weights(tree, alpha)
         pos = _exact_count_greater(tree, alpha, c)
-        if pos is None:
-            log(f"FAIL inertia trial {t}: exact count at c = {c!r} undecided")
-            ok = False
-            continue
-        eta = count_margin(M)
+        eta = dg.count_margin(M)
         # the inertia pass behind every spectral radius
-        n_greater = count_eigenvalues_greater(M, c)
+        n_greater = dg.count_eigenvalues_greater(M, c)
         if n_greater != pos and not _within_margin(tree, alpha, c, eta, n_greater, n):
             log(f"FAIL inertia trial {t}: count_eigenvalues_greater {n_greater} vs {pos}")
             ok = False
         # the capped count each bisection step asks for
-        capped = count_eigenvalues_greater(M, c, at_most=1)
+        capped = dg.count_eigenvalues_greater(M, c, at_most=1)
         if capped != min(pos, 1) and not _within_margin(tree, alpha, c, eta, capped, 1):
             log(f"FAIL inertia trial {t}: count capped at 1 is {capped} vs {min(pos, 1)}")
             ok = False
@@ -316,6 +302,8 @@ def verify_identities(log=print) -> bool:
 
 
 def verify_examples(log=print) -> bool:
+    from . import shearer as sh
+
     ok = True
     rep = sh.convergence_report(0.1, 2.44, [100])
     if abs(rep.rho_k[0] - 2.4399999999999995) > 1e-9:
@@ -371,10 +359,12 @@ def _read_edges(path: str) -> list[tuple[int, int]]:
 
 
 def cmd_spectral_radius(args) -> int:
-    tree = tree_from_edge_list(_read_edges(args.edges))
-    M = a_alpha_weights(tree, args.alpha)
-    res = spectral_radius(M, args.tol)
-    eta = count_margin(M)  # the float counts are proven only to within eta
+    from . import diagonalize as dg, trees
+
+    tree = trees.tree_from_edge_list(_read_edges(args.edges))
+    M = trees.a_alpha_weights(tree, args.alpha)
+    res = dg.spectral_radius(M, args.tol)
+    eta = dg.count_margin(M)  # the float counts are proven only to within eta
     _emit(
         [f"{HEADER}\nrho = {_fmt(res.value, max(args.digits, 16))} "
          f"(bracket [{res.lower - eta!r}, {res.upper + eta!r}], {res.iterations} iterations)\n"],

@@ -35,6 +35,11 @@ LAGUERRE_WIDTH = 2.0**-6
 
 
 class SpectralRadiusResult(NamedTuple):
+    """`lower` and `upper` are the bisection's float-count decisions: the
+    float count is at least 1 at `lower` and 0 at `upper`.  The proven
+    bracket is [lower - eta, upper + eta], eta = `count_margin(M)`; the
+    CLI prints it and `convergence_report` measures its gap from it."""
+
     value: float
     lower: float
     upper: float
@@ -251,9 +256,13 @@ def spectral_radius(
     """Largest eigenvalue of M via bisection on the inertia count.
 
     c is below the spectral radius iff some eigenvalue exceeds c, so each
-    step asks for at most one count.  The initial bracket is nudged
-    outward so it stays valid when the bound is attained exactly (e.g.
-    paths and stars).
+    step asks for at most one count.  `lower` and `upper` are decisions
+    of the float count, which can differ from the exact count within
+    eta = `count_margin(M)` of an eigenvalue: the radius is proven to lie
+    in [lower - eta, upper + eta], not in [lower, upper] (on P_2 at
+    alpha = 0.17584436767598854, lower is the radius 1.0 itself).  The
+    initial bracket is nudged outward so it stays valid when the bound is
+    attained exactly (e.g. paths and stars).
 
     `above` is a hint that the radius lies at or just below it, and two
     counts probe it, with eta = `count_margin(M)`.  A count of 0 at

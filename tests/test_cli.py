@@ -10,15 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import alpha_limit
-from alpha_limit import cli, shearer
+from alpha_limit import cli, diagonalize, shearer
 from alpha_limit.alpha_theory import CURVE_MEMO_SIZE, _curve_root, alpha_star
 from alpha_limit.cli import main
 from alpha_limit.diagonalize import count_eigenvalues_greater, count_margin
 from alpha_limit.trees import RootedTree, a_alpha_weights, make_path
-from exact_inertia import exact_count_greater
+from exact_inertia import dense_count_greater, exact_count_greater
 
 
 TREE12 = str(Path(__file__).parent / "golden" / "tree12.edges")
@@ -294,7 +294,7 @@ def test_verify_identities_exit_code(capsys):
 
 
 def test_verify_inertia_checks_the_compiled_kernel(monkeypatch):
-    count = cli.count_eigenvalues_greater
+    count = diagonalize.count_eigenvalues_greater
     # an off-by-one in the full count, then in the capped count only
     for off_in_capped in (False, True):
 
@@ -302,7 +302,7 @@ def test_verify_inertia_checks_the_compiled_kernel(monkeypatch):
             n = count(M, c, at_most)
             return n + 1 if (at_most is not None) == off_in_capped else n
 
-        monkeypatch.setattr(cli, "count_eigenvalues_greater", off_by_one)
+        monkeypatch.setattr(diagonalize, "count_eigenvalues_greater", off_by_one)
         lines = []
         assert cli.verify_inertia(log=lines.append) is False
         assert lines[-1].startswith("FAIL inertia")
@@ -324,10 +324,11 @@ def small_trees(draw):
 def test_exact_count_matches_the_pivots_and_eigvalsh(tree, alpha, c):
     np = pytest.importorskip("numpy")
     count = cli._exact_count_greater(tree, alpha, c)
-    # undecided only where what remains has a zero diagonal and an edge,
-    # as on P_2 at c = alpha (alpha = c = 0 included)
-    assume(count is not None)
     assert count == exact_count_greater(tree.parent, tree.order, alpha, c)
+    # the dense count shares no step with the leaves-first ones; it is
+    # undecided where what remains has a zero diagonal and an edge
+    dense = dense_count_greater(tree.parent, alpha, c)
+    assert dense is None or count == dense
     ev = np.linalg.eigvalsh(a_alpha_weights(tree, alpha).dense())
     if np.all(np.abs(ev - c) > 1e-9):
         assert count == np.sum(ev > c)
@@ -351,16 +352,21 @@ def test_exact_count_where_a_leading_minor_is_zero():
         assert cli._exact_count_greater(cherry, a, a) == 1
     # at alpha = 1 and c = 1 the matrix of P_2 is zero
     assert cli._exact_count_greater(make_path(2), 1.0, 1.0) == 0
+    # P_2 at c = alpha has the eigenvalues +-(1 - alpha) and a zero
+    # diagonal, alpha = c = 0 included: the leaf's pivot is zero, so the
+    # zero rule makes it positive and the root's negative, where the dense
+    # elimination is left undecided
+    for a in (0.0, 0.17584436767598854, 0.25, 0.5):
+        assert dense_count_greater(make_path(2).parent, a, a) is None
+        assert cli._exact_count_greater(make_path(2), a, a) == 1
 
 
-def test_verify_inertia_fails_an_undecided_count(monkeypatch):
-    # at alpha = c = 0 the diagonal is zero and the edges are not
-    assert cli._exact_count_greater(make_path(2), 0.0, 0.0) is None
+def test_verify_inertia_fails_a_disagreeing_exact_count(monkeypatch):
     exact = cli._exact_count_greater
-    monkeypatch.setattr(cli, "_exact_count_greater", lambda tree, alpha, c: exact(tree, 0.0, 0.0))
+    monkeypatch.setattr(cli, "_exact_count_greater", lambda tree, alpha, c: exact(tree, alpha, c) + 1)
     lines = []
     assert cli.verify_inertia(trials=5, log=lines.append) is False
-    assert len(lines) == 6 and all("undecided" in line for line in lines[:-1])
+    assert len(lines) > 1 and all(line.startswith("FAIL inertia trial") for line in lines[:-1])
     assert lines[-1] == "FAIL inertia: 5 random trees vs dense oracle"
 
 
@@ -632,6 +638,60 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert p.returncode == 0, p.stderr
     assert p.stdout == "[]\n"
+
+
+def _loaded_by(code: str, watched) -> list:
+    """The modules of `watched` that `code`, run in a fresh interpreter,
+    loads: modules the interpreter had loaded before it are not counted."""
+    env = dict(os.environ, PYTHONPATH=str(Path(alpha_limit.__file__).parents[1]))
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "before = set(sys.modules)\n"
+         + code +
+         f"\nprint(*sorted(m for m in {sorted(watched)!r} if m in set(sys.modules) - before))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert p.returncode == 0, p.stderr
+    return p.stdout.split()
+
+
+def test_package_import_loads_no_submodule():
+    submodules = [f"alpha_limit.{m}" for m in
+                  ("alpha_theory", "cli", "diagonalize", "shearer", "trees")]
+    assert _loaded_by("import alpha_limit", submodules) == []
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        pytest.param(argv, ["alpha_limit.shearer", "alpha_limit.diagonalize",
+                            "alpha_limit.trees", "json"], id="-".join(argv))
+        for argv in (["tables", "all"], ["tables", "all", "--format", "csv"],
+                     ["sweep"], ["sweep", "--format", "csv"])
+    ] + [
+        pytest.param(["spectral-radius", "--edges", TREE12, "-a", "0.1"],
+                     ["alpha_limit.shearer"], id="spectral-radius"),
+        pytest.param(["verify", "inertia"], ["alpha_limit.shearer"], id="verify-inertia"),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(argv, unloaded):
+    code = ("from alpha_limit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert _loaded_by(code, unloaded) == []
+
+
+def test_package_names_resolve_lazily_to_their_submodules():
+    homes = {f"alpha_limit.{m}" for m in ("alpha_theory", "diagonalize", "shearer", "trees")}
+    for name in alpha_limit.__all__:
+        value = getattr(alpha_limit, name)
+        # every exported name is a class or function of the module that defines it
+        assert value.__module__ in homes, name
+        assert value is getattr(sys.modules[value.__module__], name)
+    assert set(alpha_limit.__all__) <= set(dir(alpha_limit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        alpha_limit.no_such_name
 
 
 @pytest.mark.parametrize("blocked", [False, True])

@@ -141,6 +141,18 @@ def test_spectral_radius_bracket_contract():
         assert res.iterations < 64
 
 
+def test_float_lower_end_needs_the_margin():
+    # A_alpha(P_2) has the radius 1 at every alpha; at this alpha the float
+    # count above 1 is 1 where the exact count is 0, so the bisection's
+    # lower end is the radius itself and only [lower - eta, upper + eta]
+    # holds it
+    M = a_alpha_weights(make_path(2), 0.17584436767598854)
+    res = spectral_radius(M, 1e-12)
+    eta = count_margin(M)
+    assert res.lower == 1.0
+    assert res.lower - eta < 1.0 <= res.upper + eta
+
+
 def test_spectral_radius_errors():
     with pytest.raises(ValueError):
         spectral_radius(a_alpha_weights(make_path(3), 0.0), 0.0)
