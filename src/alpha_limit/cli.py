@@ -276,7 +276,7 @@ def verify_inertia(trials: int = 200, log=print) -> bool:
         if capped != min(pos, 1) and not _within_margin(tree, alpha, c, eta, capped, 1):
             log(f"FAIL inertia trial {t}: count capped at 1 is {capped} vs {min(pos, 1)}")
             ok = False
-    log(f"{'PASS' if ok else 'FAIL'} inertia: {trials} random trees vs dense oracle")
+    log(f"{'PASS' if ok else 'FAIL'} inertia: {trials} random trees vs exact leaves-first count")
     return ok
 
 

@@ -201,9 +201,11 @@ def _past_root(seq: ShearerSequence, j: int, eps: float) -> bool:
     b_j(eps), i.e. lambda - eps is at or below rho of the j-prefix.
 
     b_1..b_j are recomputed at lambda - eps from the fixed counts, in the
-    float operations of `_spine`, up to the first non-negative one: eps
-    has then passed that vertex's root and so b_j's (the roots decrease
-    along the spine), which keeps the predicate monotone on (0, lam - alpha).
+    float operations of `_spine`, up to the first non-negative one.  The
+    predicate is non-decreasing in j (a larger j replays the same prefix
+    further) and, in floats too, in eps: each operation is monotone and so
+    is rounding, so as eps grows d, c, ph and b = ph + r*d rise, and while
+    b < 0 so does the next ph = c - (1 - alpha)^2/b.
     """
     a, lam, k = seq.params.alpha, seq.params.lam - eps, seq.k
     one_a2 = (1.0 - a) ** 2
@@ -224,31 +226,42 @@ def epsilon_roots(seq: ShearerSequence, j_list: Iterable[int]) -> list[float]:
     """Smallest positive roots eps_j of the perturbed spine values.
 
     Each root is bisected on (0, eps_0) with eps_0 = lam - alpha down to
-    the absolute tolerance EPS_BISECT_TOL; the roots form a strictly
-    decreasing sequence in j.  eps_k equals the true gap lam - rho(G_k)
+    the absolute tolerance EPS_BISECT_TOL; the roots are non-increasing in
+    j, and equal once below it.  eps_k equals the true gap lam - rho(G_k)
     only to within that 1e-13, so a smaller root is bisection noise: at
     (0.1, 2.44) every k past about 80 returns 3.3e-14, k = 100 and
     k = 10**5 alike.  There `sigma_bound`, an upper bound on eps_k, is the
     better estimate; certified roots are ROADMAP Direction 5.
+
+    A step that `_past_root`'s monotonicity decides runs no replay: each j
+    first probes `end`, so a root below the tolerance costs one replay,
+    not about 45.  The midpoints and returned bits are the plain bisection's.
     """
     wanted = list(j_list)
     if not wanted:
         return []
     if min(wanted) < 1 or max(wanted) > seq.k:
         raise ValueError("requested index outside 1..k")
+    eps_0 = seq.params.lam - seq.params.alpha
+    end = eps_0  # the last midpoint when every step is past the root
+    while end > EPS_BISECT_TOL:
+        end *= 0.5
     roots: dict[int, float] = {}
+    past = eps_0  # every midpoint >= past is past the root; none reaches eps_0
     for j in sorted(set(wanted)):
-        lo = 0.0
-        hi = seq.params.lam - seq.params.alpha
+        if end < past and _past_root(seq, j, end):
+            past = end
+        lo, hi = 0.0, eps_0
         while hi - lo > EPS_BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if _past_root(seq, j, mid):
+            if mid >= past or _past_root(seq, j, mid):
                 hi = mid
             else:
                 lo = mid
         roots[j] = 0.5 * (lo + hi)
+        past = hi  # past for every later j too: its replay runs this prefix
     return [roots[j] for j in wanted]
 
 

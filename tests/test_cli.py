@@ -367,7 +367,7 @@ def test_verify_inertia_fails_a_disagreeing_exact_count(monkeypatch):
     lines = []
     assert cli.verify_inertia(trials=5, log=lines.append) is False
     assert len(lines) > 1 and all(line.startswith("FAIL inertia trial") for line in lines[:-1])
-    assert lines[-1] == "FAIL inertia: 5 random trees vs dense oracle"
+    assert lines[-1] == "FAIL inertia: 5 random trees vs exact leaves-first count"
 
 
 def test_spectral_radius_subcommand(tmp_path):

@@ -1,9 +1,11 @@
 """Greedy caterpillar sequences and their convergence diagnostics."""
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from alpha_limit import shearer
 from alpha_limit.alpha_theory import AlphaLambda, alpha_star, tau1_interval, tau2
 from alpha_limit.diagonalize import spectral_radius
 from alpha_limit.shearer import (
+    EPS_BISECT_TOL,
     MAX_K,
     MAX_VERTICES,
     _past_root,
@@ -553,3 +556,145 @@ def test_every_gap_is_proven_on_small_ladders(regime):
         rep = convergence_report(alpha, lam, ks)
         for seq, gap in zip(rep.sequences, rep.gap_k):
             assert _exact_count_at_gap(alpha, lam, seq, gap) >= 1, (alpha, lam, seq.k)
+
+
+def _plain_epsilon_roots(seq, j_list):
+    """The bisection without skipped steps: one replay per midpoint,
+    looked up on the module so that a patched counter sees it."""
+    wanted = list(j_list)
+    roots = {}
+    for j in sorted(set(wanted)):
+        lo, hi = 0.0, seq.params.lam - seq.params.alpha
+        while hi - lo > EPS_BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if shearer._past_root(seq, j, mid):
+                hi = mid
+            else:
+                lo = mid
+        roots[j] = 0.5 * (lo + hi)
+    return [roots[j] for j in wanted]
+
+
+def _roots_points():
+    rng = random.Random(31)
+    return [_regime_point(rng, r) for r in ("above-tau2", "tau1-interval") for _ in range(2)] + [(0.0, 2.5)]
+
+
+def _j_lists(k):
+    half = -(-k // 2)
+    lists = [[k], [1, half, k], [k, 1, half, k, 1]]
+    if k <= 64:
+        lists.append(list(range(1, k + 1)))
+    return lists
+
+
+def _root_mismatches(roots_fn, ks):
+    """(alpha, lam, k, js) where roots_fn differs in any bit from the plain
+    bisection, over seeded points in both regimes and (0.0, 2.5)."""
+    bad = []
+    for a, lam in _roots_points():
+        top = build_shearer(a, lam, max(ks))
+        for k in ks:
+            seq = _rung(top, k)
+            for js in _j_lists(k):
+                got = [x.hex() for x in roots_fn(seq, js)]
+                if got != [x.hex() for x in _plain_epsilon_roots(seq, js)]:
+                    bad.append((a, lam, k, js))
+    return bad
+
+
+ROOT_KS = [1, 2, 7, 64, 500, 2000]
+
+
+def test_epsilon_roots_are_the_plain_bisection_bit_for_bit():
+    assert _root_mismatches(epsilon_roots, ROOT_KS) == []
+
+
+def _mutant(old, new):
+    """epsilon_roots with one line of its source replaced."""
+    src = inspect.getsource(shearer.epsilon_roots)
+    assert src.count(old) == 1
+    ns = dict(vars(shearer))
+    exec(src.replace(old, new), ns)
+    return ns["epsilon_roots"]
+
+
+@pytest.mark.parametrize("old, new", [
+    # `end` taken as past without its replay: wrong once a root lies above it
+    ("if end < past and _past_root(seq, j, end):", "if end < past:"),
+    # `past` carried from a larger j to a smaller one
+    ("for j in sorted(set(wanted)):", "for j in sorted(set(wanted), reverse=True):"),
+])
+def test_epsilon_roots_mutants_are_caught(old, new):
+    assert _root_mismatches(_mutant(old, new), [1, 2, 7, 64])
+
+
+def _count_replays(monkeypatch, roots_fn, seq, js):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _past_root(*args)
+
+    monkeypatch.setattr(shearer, "_past_root", counting)
+    roots_fn(seq, js)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_epsilon_roots_replays_once_below_the_floor(monkeypatch):
+    # at k = 1000 the root lies below EPS_BISECT_TOL: every step is past it
+    seq = build_shearer(0.1, 2.44, 1000)
+    assert _count_replays(monkeypatch, _plain_epsilon_roots, seq, [1000]) == 45
+    assert _count_replays(monkeypatch, epsilon_roots, seq, [1000]) <= 2
+    # at k = 10 the root lies above it: the probe at `end` is one replay more
+    seq = build_shearer(0.1, 2.44, 10)
+    plain = _count_replays(monkeypatch, _plain_epsilon_roots, seq, [10])
+    assert _count_replays(monkeypatch, epsilon_roots, seq, [10]) <= plain + 1
+
+
+def _switch(seq, j, lo, hi):
+    """The least double in (lo, hi] where `_past_root(seq, j, .)` holds,
+    given that it fails at lo and holds at hi: a bisection over the bit
+    patterns of non-negative doubles, which are ordered like their values."""
+    ilo, ihi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (lo, hi))
+    while ihi - ilo > 1:
+        im = (ilo + ihi) // 2
+        if _past_root(seq, j, struct.unpack("<d", struct.pack("<q", im))[0]):
+            ihi = im
+        else:
+            ilo = im
+    return struct.unpack("<d", struct.pack("<q", ihi))[0]
+
+
+def _neighbours(x, n):
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("a, lam", LADDER_POINTS)
+def test_past_root_is_monotone_in_floats(a, lam):
+    # non-decreasing in eps and in j, on seeded pairs and on the doubles
+    # next to each returned root and to the double where the replay flips
+    seq = build_shearer(a, lam, 64)
+    rng = random.Random(1989)
+    eps_0 = lam - a
+    for _ in range(300):
+        e1, e2 = sorted(eps_0 * 2.0 ** -rng.uniform(1, 50) for _ in range(2))
+        j1, j2 = sorted(rng.sample(range(1, 65), 2))
+        assert _past_root(seq, j1, e1) <= _past_root(seq, j1, e2) <= _past_root(seq, j2, e2)
+        assert _past_root(seq, j1, e1) <= _past_root(seq, j2, e1)
+    js = [1, 2, 3, 5, 8, 13, 32, 64]
+    for j, root in zip(js, epsilon_roots(seq, js)):
+        lo, hi = max(0.0, root - EPS_BISECT_TOL), root + EPS_BISECT_TOL
+        assert not _past_root(seq, j, lo) and _past_root(seq, j, hi)
+        sw = _switch(seq, j, lo, hi)
+        for x in (root, sw):
+            flags = [_past_root(seq, j, y) for y in _neighbours(x, 16)]
+            assert flags == sorted(flags), (j, x)
+        assert flags[15:17] == [False, True]  # the replay flips at sw
