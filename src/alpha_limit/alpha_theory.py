@@ -16,9 +16,10 @@ SQRT5 = math.sqrt(5.0)
 # lower end of every lambda bracket; all F's are defined and signed there
 _LAMBDA_LO = 2.0 + 1e-9
 
-# the upper bracket end starts here and doubles up to the cap
+# the upper bracket end starts here and doubles up to the cap; tau2 < 2^53
+# for every double alpha < 1/2
 _BRACKET_START = 8.0
-_BRACKET_CAP = 2.0**40
+_BRACKET_CAP = 2.0**80
 
 # roots kept by the curve memo, least recently used dropped first.  The
 # reuse is small: a certify op asks for at most three curves at its alpha
@@ -91,15 +92,28 @@ def F1(lam: float, alpha: float) -> float:
 
 
 def F2(lam: float, alpha: float) -> float:
-    """Window-containment function; its root in (2, inf) is tau2."""
-    _, _, _, theta_prime, delta = _core(lam, alpha)
-    return -1.0 + alpha + delta - theta_prime
+    """Window-containment function -1 + alpha + delta - theta'; its root
+    in (2, inf) is tau2.  Written as (2a - 1) + (1-a)^2/(lam - a) - theta',
+    where 2a - 1 is exact and the other two terms are positive, so nothing
+    cancels but the final sum, even as alpha -> 1/2 sends tau2 to infinity.
+    """
+    _, _, _, theta_prime, _ = _core(lam, alpha)
+    return (2.0 * alpha - 1.0) + (1.0 - alpha) ** 2 / (lam - alpha) - theta_prime
 
 
 def F3(lam: float, alpha: float) -> float:
-    """Second factor of F1; its root in (2, inf) is tau1'."""
-    _, _, _, theta_prime, delta = _core(lam, alpha)
-    return delta + theta_prime
+    """Second factor of F1, delta + theta'; its root in (2, inf) is tau1'.
+
+    delta + theta' = alpha + (1-a)^2 (|theta| - (lam - a)) / ((lam - a)|theta|),
+    and |theta| - (lam - a) = (sq - lam)/2 = -2((1 - 2a) + a*lam)/(sq + lam),
+    from disc - lam^2 = -4(1 - 2a + a*lam).  Every term of the fraction is
+    then positive, so nothing cancels but the final difference, even as
+    alpha -> 0.
+    """
+    _, sq, theta, _, _ = _core(lam, alpha)
+    return alpha - 2.0 * (1.0 - alpha) ** 2 * ((1.0 - 2.0 * alpha) + alpha * lam) / (
+        (sq + lam) * (lam - alpha) * -theta
+    )
 
 
 # curve kind -> F; the root of F in (2, inf) is the curve's value

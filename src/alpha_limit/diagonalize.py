@@ -342,8 +342,11 @@ def spectral_radius(
 
 
 def dense_spectrum_oracle(M: WeightedTreeMatrix) -> list[float]:
-    """Full eigenvalue list from LAPACK (`numpy.linalg.eigvalsh`), sorted
-    ascending.  Desk-scale verification only (n <= 64)."""
+    """Full eigenvalue list from LAPACK (`numpy.linalg.eigvalsh` on
+    `M.dense()`), sorted ascending.  Desk-scale verification only
+    (n <= 64).  The one use of numpy in the package, which declares no
+    runtime dependency: numpy comes with the `test` extra, and without it
+    this raises ImportError."""
     if M.tree.n > ORACLE_MAX_N:
         raise ValueError(f"oracle is limited to n <= {ORACLE_MAX_N}")
     import numpy as np

@@ -10,6 +10,7 @@ fields are r and n, not parent links and an order, so it never equals a
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import NamedTuple, Optional, Sequence, Union
@@ -166,13 +167,13 @@ class WeightedTreeMatrix(
         alpha = self.alpha
         return tuple([alpha * g for g in self.tree.layout.degree])
 
-    def dense(self):
-        """Assemble the dense symmetric matrix (numpy array)."""
-        import numpy as np
-
-        a = np.diag(self.alpha * np.array(self.tree.degree, dtype=float))
+    def dense(self) -> list[list[float]]:
+        """The dense symmetric matrix as n rows of n floats, alpha*deg on
+        the diagonal and 1 - alpha on each edge (`numpy.asarray` takes it)."""
+        alpha, degree = self.alpha, self.tree.degree
+        a = [[0.0] * v + [alpha * g] + [0.0] * (len(degree) - 1 - v) for v, g in enumerate(degree)]
         for v, p in self.tree.edges():
-            a[v, p] = a[p, v] = 1.0 - self.alpha
+            a[v][p] = a[p][v] = 1.0 - alpha
         return a
 
 
@@ -188,10 +189,14 @@ def make_caterpillar(r: Sequence[int]) -> Caterpillar:
     """
     if len(r) < 1:
         raise ValueError("need at least one spine vertex")
-    if min(r) < 0:
-        raise ValueError("pendant counts must be non-negative")
+    try:  # a float count makes the sum a float, which is no index
+        leaves = operator.index(sum(r))
+    except TypeError:
+        leaves = -1
+    if leaves < 0 or min(r) < 0:
+        raise ValueError("pendant counts must be non-negative integers")
     r = tuple(r)
-    return Caterpillar(r, len(r) + sum(r))
+    return Caterpillar(r, len(r) + leaves)
 
 
 def _layout(degree: tuple[int, ...], parent: tuple[int, ...], leaves: list[int]) -> TreeLayout:

@@ -2,6 +2,7 @@
 threshold curves, constants and identities."""
 from __future__ import annotations
 
+import inspect
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ from alpha_limit import (
     F2,
     F3,
     alpha_star,
+    alpha_theory,
     corollary_crossover,
     cubic_discriminant_d,
     phi,
@@ -244,16 +246,19 @@ def test_threshold_curve_residuals():
     assert abs(F3(tau1_interval(0.1)[1], 0.1)) <= 1e-10
 
 
-# every alpha that `tables all` prints, and the default grid of `sweep`
-# (50 points from 0 to 0.49)
+# every alpha that `tables all` prints, the default grid of `sweep` (50
+# points from 0 to 0.49), and the ends where delta + theta' and
+# -1 + alpha + delta - theta' cancel: tau1' -> inf as alpha -> 0, and
+# tau2 -> inf as alpha -> 1/2 (about 4.5e15 at the last double below 1/2)
 CURVE_ALPHAS = sorted(
     set(sum(TABLE_ALPHAS.values(), [])) | {0.0 + i * (0.49 / 49) for i in range(50)}
+    | {1e-8, 0.49999, 0.49999999, 0.4999999999999, 0.49999999999999994}
 )
 
 
 def _curve_values():
     """(kind, F, tau, alpha) for each curve at each CURVE_ALPHAS value in
-    its range: 58 tau0, 55 tau2 and 26 finite tau1' values."""
+    its range: 63 tau0, 60 tau2 and 27 finite tau1' values."""
     a_star, _ = alpha_star()
     for a in CURVE_ALPHAS:
         yield "tau0", F0, tau0(a), a
@@ -307,21 +312,41 @@ def _decimal_root(kind: str, alpha: float) -> Decimal:
         return (lo + hi) / 2
 
 
-def test_curve_values_against_a_decimal_reference():
-    def doubles_apart(x: float, y: float) -> int:  # both positive
-        return abs(struct.unpack("<q", struct.pack("<d", x))[0]
-                   - struct.unpack("<q", struct.pack("<d", y))[0])
+def _doubles_apart(x: float, y: float) -> int:  # both positive
+    return abs(struct.unpack("<q", struct.pack("<d", x))[0]
+               - struct.unpack("<q", struct.pack("<d", y))[0])
 
+
+def test_curve_values_against_a_decimal_reference():
     worst = {"tau0": 0, "tau2": 0, "tau1_prime": 0}
     for kind, _, t, a in _curve_values():
         # float() of a Decimal rounds correctly
-        worst[kind] = max(worst[kind], doubles_apart(t, float(_decimal_root(kind, a))))
-    # the float F of tau2 and tau1' is noisy near the root, so those
-    # values are not all correctly rounded; these bounds only keep them
-    # from drifting further
+        worst[kind] = max(worst[kind], _doubles_apart(t, float(_decimal_root(kind, a))))
+    # the last sum of each float F still rounds near the root, so not
+    # every value is correctly rounded, but nothing cancels before it
     assert worst["tau0"] <= 1
-    assert worst["tau2"] <= 28
-    assert worst["tau1_prime"] <= 493
+    assert worst["tau2"] <= 2
+    assert worst["tau1_prime"] <= 1
+
+
+def test_cancelling_F2_fails_the_decimal_reference(monkeypatch):
+    # F2 written back as -1 + alpha + delta - theta' (a source mutant):
+    # its root is undefined from alpha = 0.4999999999999 on, or far off
+    src = inspect.getsource(alpha_theory.F2)
+    old = "(2.0 * alpha - 1.0) + (1.0 - alpha) ** 2 / (lam - alpha)"
+    assert src.count(old) == 1
+    ns = dict(vars(alpha_theory))
+    exec(src.replace(old, "-1.0 + alpha + _core(lam, alpha)[4]"), ns)
+    monkeypatch.setitem(alpha_theory._ROOT_CURVES, "tau2", ns["F2"])
+    worst = 0
+    for a in (0.49999, 0.49999999, 0.4999999999999, 0.49999999999999994):
+        try:
+            t = alpha_theory._curve_root.__wrapped__("tau2", a)
+        except ValueError:
+            worst = math.inf
+            continue
+        worst = max(worst, _doubles_apart(t, float(_decimal_root("tau2", a))))
+    assert worst > 2
 
 
 def test_concurrent_calls_match_serial():

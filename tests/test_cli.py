@@ -71,6 +71,18 @@ def test_tables_undefined_rows_exit_zero(tmp_path):
     assert text.strip().split("\n")[-1] == "0.6,,,,"
 
 
+def test_tables_tau2_is_defined_up_to_one_half(tmp_path):
+    # the last double below 1/2, where tau2 = 2^52 + 1 lies far above the
+    # bracket's first upper end
+    argv = ["tables", "tau2", "--alphas", "0.49999999999999994"]
+    code, text = _run_to_file(tmp_path, "t2.txt", argv)
+    assert code == 0
+    assert text == "# alpha-limit v1\nalpha=0.5  tau2=4.503599627e+15\n"
+    code, text = _run_to_file(tmp_path, "t2_17.txt", argv + ["--digits", "17"])
+    assert code == 0
+    assert text == "# alpha-limit v1\nalpha=0.49999999999999994  tau2=4503599627370497\n"
+
+
 def test_tables_json(tmp_path):
     code, text = _run_to_file(
         tmp_path, "t1.json", ["tables", "tau1", "--format", "json"]

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from alpha_limit import shearer
+from alpha_limit import shearer, trees
+from alpha_limit.alpha_theory import tau0, tau1_interval, tau2
 from alpha_limit.diagonalize import dense_spectrum_oracle, spectral_radius
 from alpha_limit.shearer import build_shearer, convergence_report
 from alpha_limit.trees import (
@@ -114,8 +119,22 @@ def test_certify_path_builds_no_vertex_tuples(monkeypatch):
 def test_caterpillar_validation():
     with pytest.raises(ValueError, match="at least one spine vertex"):
         make_caterpillar(())
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="non-negative integers"):
         make_caterpillar((1, -1))
+
+
+@pytest.mark.parametrize("r", [[1.5, 2], [2.0, 1], [1, 2, 0.0], (True, 0.5)])
+def test_caterpillar_rejects_non_integer_pendant_counts(r):
+    # a float count would make n a float: 5.5 for [1.5, 2], 5.0 for [2.0, 1]
+    with pytest.raises(ValueError, match="pendant counts must be non-negative integers"):
+        make_caterpillar(r)
+
+
+def test_caterpillar_keeps_integer_pendant_counts():
+    for r in ([2, 1], (0, 3, 0), [True, False, 2], [0]):
+        cat = make_caterpillar(r)
+        assert cat == (tuple(r), len(r) + sum(r))
+        assert type(cat.n) is int
 
 
 def test_starlike_small_shapes():
@@ -143,12 +162,12 @@ def test_starlike_n5_radius_below_small_limit():
 def test_a_alpha_weights_adjacency_and_degree_cases():
     tree = make_caterpillar((2, 1))
     m0 = a_alpha_weights(tree, 0.0).dense()
-    assert all(m0[v, v] == 0.0 for v in range(tree.n))
-    assert all(m0[v, p] == 1.0 for v, p in tree.edges())
+    assert all(m0[v][v] == 0.0 for v in range(tree.n))
+    assert all(m0[v][p] == 1.0 for v, p in tree.edges())
 
     p3 = make_path(3)
     m1 = a_alpha_weights(p3, 1.0).dense()
-    assert m1.tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    assert m1 == [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def test_a_alpha_weights_starlike_122():
@@ -156,10 +175,10 @@ def test_a_alpha_weights_starlike_122():
     m = a_alpha_weights(tree, 0.1)
     a = m.dense()
     # root degree 3, path-interior degree 2, leaves degree 1
-    assert a[0, 0] == pytest.approx(0.3)
-    assert a[2, 2] == pytest.approx(0.2)
-    assert a[1, 1] == pytest.approx(0.1)
-    assert all(a[v, p] == pytest.approx(0.9) for v, p in tree.edges())
+    assert a[0][0] == pytest.approx(0.3)
+    assert a[2][2] == pytest.approx(0.2)
+    assert a[1][1] == pytest.approx(0.1)
+    assert all(a[v][p] == pytest.approx(0.9) for v, p in tree.edges())
     assert m.alpha == 0.1
 
 
@@ -242,8 +261,72 @@ def test_tree_from_edge_list_rejects_root_outside_vertices(root):
 def test_weighted_matrix_dense_is_symmetric():
     tree = make_caterpillar((3, 1, 2))
     m = a_alpha_weights(tree, 0.25).dense()
-    assert (m == m.T).all()
-    assert m.shape == (tree.n, tree.n)
+    assert m == [list(col) for col in zip(*m)]
+    assert len(m) == tree.n and all(len(row) == tree.n for row in m)
+
+
+def _numpy_dense(tree, alpha: float):
+    """The dense matrix as numpy once assembled it: np.diag(alpha*deg),
+    then 1 - alpha on each edge."""
+    import numpy as np
+
+    a = np.diag(alpha * np.array(tree.degree, dtype=float))
+    for v, p in tree.edges():
+        a[v, p] = a[p, v] = 1.0 - alpha
+    return a
+
+
+def test_dense_matches_a_numpy_assembly_bit_for_bit():
+    import numpy as np
+
+    rng = random.Random(32)
+    for i in range(60):
+        n = rng.randint(1, 64)
+        if i % 3:
+            parent = (None,) + tuple(rng.randrange(v) for v in range(1, n))
+            tree = RootedTree(n, parent, tuple(range(n - 1, -1, -1)))
+        else:
+            tree = make_caterpillar([rng.randint(0, 4) for _ in range(rng.randint(1, 12))])
+        alpha = rng.choice([0.0, 1.0, rng.random()])
+        got = a_alpha_weights(tree, alpha).dense()
+        want = _numpy_dense(tree, alpha)
+        assert type(got) is list and all(type(x) is float for row in got for x in row)
+        assert [[x.hex() for x in row] for row in got] == [
+            [x.hex() for x in row] for row in want.tolist()
+        ]
+        assert np.linalg.eigvalsh(got).tobytes() == np.linalg.eigvalsh(want).tobytes()
+
+
+def test_library_runs_with_numpy_unimportable():
+    # numpy is a test-only dependency: with it made unimportable, the
+    # matrix, the radius, the Shearer report and the curves give the same
+    # bits as here, and only the LAPACK oracle fails
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from alpha_limit.alpha_theory import tau0, tau1_interval, tau2\n"
+        "from alpha_limit.diagonalize import dense_spectrum_oracle, spectral_radius\n"
+        "from alpha_limit.shearer import convergence_report\n"
+        "from alpha_limit.trees import a_alpha_weights, make_caterpillar\n"
+        "M = a_alpha_weights(make_caterpillar([2, 0, 3, 1]), 0.3)\n"
+        "rep = convergence_report(0.1, 2.44, [10, 20])\n"
+        "out = [M.dense(), spectral_radius(M, 1e-12), rep.rho_k, rep.gap_k,\n"
+        "       tau0(0.3), tau2(0.3), tau1_interval(0.1)]\n"
+        "try:\n"
+        "    dense_spectrum_oracle(M)\n"
+        "except ImportError:\n"
+        "    out.append('ImportError')\n"
+        "print(repr(out))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(trees.__file__).parents[1]))
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    M = a_alpha_weights(make_caterpillar([2, 0, 3, 1]), 0.3)
+    rep = convergence_report(0.1, 2.44, [10, 20])
+    want = [M.dense(), spectral_radius(M, 1e-12), rep.rho_k, rep.gap_k,
+            tau0(0.3), tau2(0.3), tau1_interval(0.1), "ImportError"]
+    assert p.stdout == f"{want!r}\n"
 
 
 def test_path_and_star_radii():
